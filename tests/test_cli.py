@@ -5,6 +5,7 @@ so the suite exercises exactly what a shell user sees.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +282,59 @@ def test_byte_identical_reruns(capsys):
     third = run(capsys, "gb", "--builtin", "even")
     fourth = run(capsys, "gb", "--builtin", "even")
     assert third == fourth
+
+
+# -- golden outputs -----------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (exit code, argv); each runs in text and in JSON
+GOLDEN_COMMANDS = {
+    "verify-all": (0, ["verify", "--component", "all"]),
+    "verify-even": (0, ["verify", "--component", "even"]),
+    "verify-odd": (0, ["verify", "--component", "odd"]),
+    "gb-even": (0, ["gb", "--builtin", "even"]),
+    "gb-odd": (0, ["gb", "--builtin", "odd"]),
+    "gb-toy": (0, ["gb", "--ring", "toy.ring"]),
+    "hilbert-even": (0, ["hilbert", "--builtin", "even"]),
+    "hilbert-odd": (0, ["hilbert", "--builtin", "odd"]),
+    "nf-even": (0, ["nf", "--builtin", "even", "--expr", "a0^2*b1"]),
+    "nf-toy": (0, ["nf", "--ring", "toy.ring", "--expr", "x^5"]),
+    "member-even": (0, ["member", "--builtin", "even", "--expr", "a0^2*b0"]),
+    "member-odd-no": (1, ["member", "--builtin", "odd", "--expr", "a0"]),
+    "integrate-even": (0, ["integrate", "--builtin", "even", "--expr", "a0^3"]),
+    "integrate-odd": (0, ["integrate", "--builtin", "odd", "--expr", "a1*a0^2"]),
+    "lefschetz-even": (
+        0,
+        ["lefschetz", "--builtin", "even", "--class", "a0 + a1 + b0 + b1", "--from-degree", "1"],
+    ),
+    "lefschetz-odd": (
+        0,
+        ["lefschetz", "--builtin", "odd", "--class", "a0 + a1 + b0", "--from-degree", "1"],
+    ),
+    "strata-G7-odd": (0, ["strata", "--graph", "G7", "--component", "odd"]),
+}
+
+SUBCOMMANDS = ("gb", "nf", "member", "hilbert", "integrate", "lefschetz", "verify", "strata")
+
+
+def golden_cases():
+    for name, (code, argv) in GOLDEN_COMMANDS.items():
+        for fmt in ("text", "json"):
+            yield pytest.param(f"{name}.{fmt}", code, [*argv, "--format", fmt], id=f"{name}-{fmt}")
+    for command in SUBCOMMANDS:
+        yield pytest.param(f"help-{command}.txt", 0, [command, "--help"], id=f"help-{command}")
+
+
+@pytest.mark.parametrize("name, code, argv", list(golden_cases()))
+def test_golden_output(capsys, monkeypatch, tmp_path, name, code, argv):
+    # argparse wraps --help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.ring").write_text(RING_FILE)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help exits through argparse
+        got = exc.code
+    out = capsys.readouterr().out
+    assert (got, out) == (code, (GOLDEN / name).read_text(encoding="utf-8"))
