@@ -7,20 +7,12 @@ verification suite replaying every recorded claim about them.
 """
 
 from .groebner import GroebnerBasis, Ideal, buchberger, divide, is_member, normal_form, s_polynomial
-from .parser import ParseError, RingFile, parse_polynomial, parse_ring_file
-from .poly import (
-    GREVLEX,
-    LEX,
-    ContextMismatch,
-    Polynomial,
-    RingContext,
-    RingError,
-)
+from .parser import ParseError, parse_polynomial, parse_ring_file
+from .poly import GREVLEX, ContextMismatch, Polynomial, RingContext, RingError
 from .quotient import (
     DegreeError,
     NonArtinianError,
     PointNormalization,
-    QuotientRing,
     build_quotient,
     hilbert_function,
     integrate,
@@ -29,20 +21,11 @@ from .quotient import (
     rank,
 )
 from .spindomain import (
-    ALL,
     COMPONENTS,
-    EVEN,
     EXPECTED_HODGE,
     GRAPH_NODE_COUNTS,
     GRAPH_TYPES,
-    ODD,
     ODD_CUBIC_RELATIONS,
-    Check,
-    HodgeDiamond,
-    NamedClass,
-    SpinRingPresentation,
-    Stratum,
-    VerificationReport,
     base_class,
     base_context,
     base_intersections,
@@ -64,34 +47,22 @@ from .spindomain import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL",
     "COMPONENTS",
-    "Check",
     "ContextMismatch",
     "DegreeError",
-    "EVEN",
     "EXPECTED_HODGE",
     "GRAPH_NODE_COUNTS",
     "GRAPH_TYPES",
     "GREVLEX",
     "GroebnerBasis",
-    "HodgeDiamond",
     "Ideal",
-    "LEX",
-    "NamedClass",
     "NonArtinianError",
-    "ODD",
     "ODD_CUBIC_RELATIONS",
     "ParseError",
     "PointNormalization",
     "Polynomial",
-    "QuotientRing",
     "RingContext",
     "RingError",
-    "RingFile",
-    "SpinRingPresentation",
-    "Stratum",
-    "VerificationReport",
     "base_class",
     "base_context",
     "base_intersections",

@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from . import spindomain
-from .groebner import GroebnerBasis, buchberger
+from .groebner import buchberger
 from .parser import ParseError, parse_polynomial, parse_ring_file
 from .poly import RingError
 from .quotient import (
@@ -31,20 +32,11 @@ from .quotient import (
     rank,
 )
 
-SCHEMA_VERSION = "1"
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     # keep usage errors to the single diagnostic line the contract asks for
     def error(self, message):
         self.exit(2, f"{self.prog}: {message}\n")
-
-
-def _emit(document: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(document, indent=2))
-    else:
-        print(text)
 
 
 class _Source:
@@ -55,20 +47,18 @@ class _Source:
             presentation = spindomain.builtin(args.builtin)
             self.name = f"builtin-{args.builtin}"
             self.context = presentation.context
-            self.ideal = presentation.ideal
             self.normalization = presentation.point_normalization
             self.basis = spindomain.groebner_basis(args.builtin)
         else:
             try:
-                text = Path(args.ring).read_text()
-            except OSError as exc:
+                text = Path(args.ring).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read ring file: {exc}") from None
             ring_file = parse_ring_file(text)
             self.name = ring_file.name
             self.context = ring_file.context
-            self.ideal = ring_file.ideal
             self.normalization = None
-            self.basis = buchberger(self.ideal)
+            self.basis = buchberger(ring_file.ideal)
 
     def parse(self, text: str):
         return parse_polynomial(text, self.context)
@@ -92,96 +82,55 @@ def _point_normalization(source: _Source, spec_text: str | None) -> PointNormali
     return PointNormalization(witness=source.parse(witness_text), value=value)
 
 
-def _cmd_gb(args) -> int:
-    source = _Source(args)
+# Each handler returns (JSON fields, text output, exit code); _run adds the
+# schema version, and the ring name for the commands that take a source.
+
+
+def _gb(args, source):
     elements = [str(g) for g in source.basis]
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
-        "order": source.context.order,
-        "elements": elements,
-    }
-    _emit(document, "\n".join(elements), args.format)
-    return 0
+    return {"order": source.context.order, "elements": elements}, "\n".join(elements), 0
 
 
-def _cmd_nf(args) -> int:
-    source = _Source(args)
-    reduced = source.basis.normal_form(source.parse(args.expr))
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
-        "expr": args.expr,
-        "normal_form": str(reduced),
-    }
-    _emit(document, str(reduced), args.format)
-    return 0
+def _nf(args, source):
+    reduced = str(source.basis.normal_form(source.parse(args.expr)))
+    return {"expr": args.expr, "normal_form": reduced}, reduced, 0
 
 
-def _cmd_member(args) -> int:
-    source = _Source(args)
+def _member(args, source):
     inside = source.basis.contains(source.parse(args.expr))
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
-        "expr": args.expr,
-        "member": inside,
-    }
-    _emit(document, "yes" if inside else "no", args.format)
-    return 0 if inside else 1
+    return {"expr": args.expr, "member": inside}, "yes" if inside else "no", 0 if inside else 1
 
 
-def _cmd_hilbert(args) -> int:
-    source = _Source(args)
+def _hilbert(args, source):
     dimensions = hilbert_function(source.quotient())
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
-        "dimensions": dimensions,
-    }
-    _emit(document, " ".join(map(str, dimensions)), args.format)
-    return 0
+    return {"dimensions": dimensions}, " ".join(map(str, dimensions)), 0
 
 
-def _cmd_integrate(args) -> int:
-    source = _Source(args)
+def _integrate(args, source):
     normalization = _point_normalization(source, args.point)
-    value = integrate(source.quotient(), source.parse(args.expr), normalization)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
-        "expr": args.expr,
-        "integral": str(value),
-    }
-    _emit(document, str(value), args.format)
-    return 0
+    value = str(integrate(source.quotient(), source.parse(args.expr), normalization))
+    return {"expr": args.expr, "integral": value}, value, 0
 
 
-def _cmd_lefschetz(args) -> int:
-    source = _Source(args)
-    quotient = source.quotient()
-    matrix = multiplication_matrix(quotient, source.parse(args.multiplier), args.from_degree)
+def _lefschetz(args, source):
+    matrix = multiplication_matrix(source.quotient(), source.parse(args.multiplier), args.from_degree)
     matrix_rank = rank(matrix)
-    rows = [" ".join(str(entry) for entry in row) for row in matrix]
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": source.name,
+    cells = [[str(entry) for entry in row] for row in matrix]
+    fields = {
         "multiplier": args.multiplier,
         "from_degree": args.from_degree,
-        "matrix": [[str(entry) for entry in row] for row in matrix],
+        "matrix": cells,
         "rank": matrix_rank,
     }
-    _emit(document, "\n".join(rows + [f"rank {matrix_rank}"]), args.format)
-    return 0
+    return fields, "\n".join([" ".join(row) for row in cells] + [f"rank {matrix_rank}"]), 0
 
 
-def _cmd_verify(args) -> int:
+def _verify(args):
     report = spindomain.verify(args.component)
-    _emit(report.to_document(), report.to_text(), args.format)
-    return 0 if report.passed else 1
+    return report.to_document(), report.to_text(), 0 if report.passed else 1
 
 
-def _cmd_strata(args) -> int:
+def _strata(args):
     rows = spindomain.strata(graph=args.graph, component=args.component)
     lines = []
     for s in rows:
@@ -189,22 +138,20 @@ def _cmd_strata(args) -> int:
         if s.note:
             line += f" ({s.note})"
         lines.append(line)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "strata": [
-            {
-                "name": s.name,
-                "graph": s.graph,
-                "component": s.component,
-                "dimension": s.dimension,
-                "description": s.description,
-                "note": s.note,
-            }
-            for s in rows
-        ],
-    }
-    _emit(document, "\n".join(lines), args.format)
-    return 0
+    return {"strata": [asdict(s) for s in rows]}, "\n".join(lines), 0
+
+
+def _run(args) -> int:
+    document = {"schema_version": spindomain.SCHEMA_VERSION}
+    if hasattr(args, "builtin"):  # the command takes --ring or --builtin
+        source = _Source(args)
+        document["ring"] = source.name
+        fields, text, code = args.handler(args, source)
+    else:
+        fields, text, code = args.handler(args)
+    document.update(fields)
+    print(json.dumps(document, indent=2) if args.format == "json" else text)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,25 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
-    add("gb", _cmd_gb, "print the reduced Groebner basis", [source])
-    nf = add("nf", _cmd_nf, "normal form of an expression", [source])
+    add("gb", _gb, "print the reduced Groebner basis", [source])
+    nf = add("nf", _nf, "normal form of an expression", [source])
     nf.add_argument("--expr", required=True)
-    member = add("member", _cmd_member, "ideal membership test (yes/no)", [source])
+    member = add("member", _member, "ideal membership test (yes/no)", [source])
     member.add_argument("--expr", required=True)
-    add("hilbert", _cmd_hilbert, "graded dimensions of the quotient", [source])
-    integrate_cmd = add("integrate", _cmd_integrate, "integrate a top-degree class", [source])
+    add("hilbert", _hilbert, "graded dimensions of the quotient", [source])
+    integrate_cmd = add("integrate", _integrate, "integrate a top-degree class", [source])
     integrate_cmd.add_argument("--expr", required=True)
     integrate_cmd.add_argument("--point", metavar="WITNESS=VALUE", help="point normalization for ring files")
-    lefschetz = add("lefschetz", _cmd_lefschetz, "multiplication matrix and its rank", [source])
+    lefschetz = add("lefschetz", _lefschetz, "multiplication matrix and its rank", [source])
     lefschetz.add_argument("--class", dest="multiplier", required=True, metavar="EXPR")
     lefschetz.add_argument("--from-degree", type=int, required=True)
-    verify = add("verify", _cmd_verify, "replay the recorded verification suite")
+    verify = add("verify", _verify, "replay the recorded verification suite")
     verify.add_argument(
         "--component",
         choices=(spindomain.EVEN, spindomain.ODD, spindomain.ALL),
         default=spindomain.ALL,
     )
-    strata = add("strata", _cmd_strata, "list the stable-graph strata")
+    strata = add("strata", _strata, "list the stable-graph strata")
     strata.add_argument("--graph", choices=spindomain.GRAPH_TYPES)
     strata.add_argument("--component", choices=spindomain.COMPONENTS)
     return parser
@@ -250,7 +197,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except ParseError as exc:
         print(f"spinring: {exc}", file=sys.stderr)
         return 2

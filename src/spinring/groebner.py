@@ -129,10 +129,6 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return remainder
 
 
-def _spair_candidates(basis: list[Polynomial], start: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(start, len(basis)) for i in range(j)]
-
-
 def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Complete the ideal's generators to the reduced monic Groebner basis.
 
@@ -149,7 +145,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         g = g.monic()
         if g not in basis:
             basis.append(g)
-    pairs = set(_spair_candidates(basis, 1))
+    pairs = {(i, j) for j in range(1, len(basis)) for i in range(j)}
     while pairs:
         i, j = min(
             pairs,

@@ -11,7 +11,7 @@ Expression grammar (whitespace insensitive)::
 The ``rational factors`` form is the one place where '*' may be omitted:
 ``3a0`` means ``3*a0``.  Writing two variables side by side (``a0 a1``) is
 rejected, as is an exponent on a parenthesized group.  Coefficients are
-rational literals only.
+rational literals only.  Parentheses nest at most ``MAX_NESTING`` deep.
 
 Ring files present a quotient ring in a small block format::
 
@@ -33,6 +33,10 @@ from fractions import Fraction
 
 from .groebner import Ideal
 from .poly import Polynomial, RingContext, RingError
+
+# deep enough for any hand-written expression, shallow enough that the
+# recursive-descent parser stays far from the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(RingError):
@@ -96,6 +100,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -177,7 +182,11 @@ class _ExprParser:
             return self.context.monomial(1, tuple(exps))
         if self.at_op("("):
             opener = self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("expression nested too deeply", opener.line, opener.column)
             inner = self.expr()
+            self.depth -= 1
             if not self.at_op(")"):
                 raise ParseError(
                     f"unbalanced parentheses: '(' at column {opener.column} never closed",

@@ -5,11 +5,15 @@ so the suite exercises exactly what a shell user sees.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinring
 from spinring.cli import main
+from spinring.parser import MAX_NESTING
 
 RING_FILE = """\
 ring toy
@@ -250,6 +254,27 @@ def test_missing_ring_file(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_undecodable_ring_file(capsys, tmp_path):
+    path = tmp_path / "latin1.ring"
+    path.write_bytes(RING_FILE.encode() + b"# \xff\n")
+    code, out, err = run(capsys, "gb", "--ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spinring: cannot read ring file: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 2000])
+def test_nesting_limit_exit_code(capsys, depth):
+    expr = "(" * depth + "a0" + ")" * depth
+    code, out, err = run(capsys, "nf", "--builtin", "even", "--expr", expr)
+    if depth <= MAX_NESTING:
+        assert (code, out, err) == (0, "a0\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"spinring: expression nested too deeply at column {MAX_NESTING + 1}\n"
+
+
 def test_non_artinian_exit_code(capsys, tmp_path):
     path = tmp_path / "curve.ring"
     path.write_text("ring curve\nvars x y\nideal\n  x*y\nend\n")
@@ -273,6 +298,23 @@ def test_bad_point_spec(capsys, tmp_path):
     code, _, err = run(capsys, "integrate", "--ring", str(path), "--expr", "x", "--point", "x")
     assert code == 2
     assert "WITNESS=VALUE" in err
+
+
+def test_import_does_no_algebra():
+    # every CLI process pays for the import, so it must parse and build nothing
+    probe = (
+        "import sys\n"
+        "seen = set()\n"
+        "sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code.co_name))\n"
+        "import spinring.cli\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(seen & {'parse_polynomial', 'buchberger', 'build_quotient'}))\n"
+    )
+    src = str(Path(spinring.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_byte_identical_reruns(capsys):

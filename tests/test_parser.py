@@ -14,6 +14,7 @@ from spinring import (
     parse_polynomial,
     parse_ring_file,
 )
+from spinring.parser import MAX_NESTING
 
 from oracles import monomials_up_to
 
@@ -118,6 +119,17 @@ def test_trailing_garbage():
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_polynomial("a0 % b0", EVEN)
+
+
+def test_nesting_limit():
+    def nested(depth):
+        return "(" * depth + "a0" + ")" * depth
+
+    assert parse_polynomial(nested(MAX_NESTING), EVEN) == EVEN.variable("a0")
+    for depth in (MAX_NESTING + 1, 2000):
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse_polynomial(nested(depth), EVEN)
+        assert exc.value.column == MAX_NESTING + 1
 
 
 # -- round trip ---------------------------------------------------------------

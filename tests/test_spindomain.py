@@ -1,6 +1,7 @@
 """Builtin presentations, boundary calculus, strata, and the verify report."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from spinring import (
     strata,
     verify,
 )
+from spinring import spindomain
 
 
 # -- presentations -------------------------------------------------------------
@@ -295,6 +297,32 @@ def test_verify_check_ids_unique():
     assert len(ids) == len(set(ids))
 
 
+def test_verify_computes_covering_integrals_once_per_component(monkeypatch):
+    calls = []
+
+    def counted(component):
+        calls.append(component)
+        return covering_degree_check(component)
+
+    monkeypatch.setattr(spindomain, "covering_degree_check", counted)
+    assert verify().passed
+    assert calls == list(COMPONENTS)
+
+
 def test_verify_rejects_unknown_component():
     with pytest.raises(RingError, match="component"):
         verify("spin")
+
+
+# -- README -------------------------------------------------------------------------
+
+
+def test_readme_library_snippet():
+    # the snippet imports only top-level names, so it guards the package exports
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(snippet, names)
+    assert names["integrate"](names["ring"], names["a0"] ** 3, names["norm"]) == Fraction(-55, 6)
+    assert names["rank"](names["m"]) == 4
+    assert names["report"].passed
