@@ -7,7 +7,8 @@ deterministic; ``--format json`` switches to a versioned structured schema.
 
 Exit codes: 0 success or pass, 1 verification failure or negative
 membership, 2 parse or usage error, 3 engine error (non-Artinian quotient,
-degree mismatch, and friends).
+a quotient above the dimension limit, a graded command on a quotient with no
+grading, degree mismatch, and friends).
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class _Source:
         return parse_polynomial(text, self.context)
 
     def quotient(self):
+        # hilbert, integrate and lefschetz report graded quantities, which
+        # exist only when the ideal is homogeneous
+        for g in self.basis:
+            if not g.is_homogeneous:
+                raise RingError(f"the quotient is not graded: basis element {g} is not weighted-homogeneous")
         return build_quotient(self.basis)
 
 

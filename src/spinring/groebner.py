@@ -3,7 +3,8 @@
 The ideal of relations is handed in as a plain generator list; ``buchberger``
 completes it to the reduced monic Groebner basis, which is unique for the
 ideal and the monomial order, so repeated runs (and runs on permuted or
-rescaled generator lists) return bit-identical results.  Division follows a
+rescaled generator lists) return bit-identical results; each ``Ideal``
+object computes its basis once and keeps it.  Division follows a
 fixed rule: reduce by the basis element whose leading monomial is largest
 among those dividing the current term, breaking ties by basis index.
 """
@@ -12,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Sequence
 
 from .poly import (
@@ -20,7 +24,6 @@ from .poly import (
     Polynomial,
     RingContext,
     RingError,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -40,6 +43,11 @@ class Ideal:
                 raise ContextMismatch("ideal generators must share the ideal's context")
             if g.is_zero:
                 raise RingError("ideal generators must be nonzero")
+
+    @cached_property
+    def reduced_basis(self) -> "GroebnerBasis":
+        """The reduced monic Groebner basis, computed on first use and kept."""
+        return _complete(self)
 
 
 @dataclass(frozen=True)
@@ -74,17 +82,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, fc = f.leading_term()
     gm, gc = g.leading_term()
     lcm = monomial_lcm(fm, gm)
-    left = f.context.monomial(1 / fc, monomial_div(lcm, fm))
-    right = f.context.monomial(1 / gc, monomial_div(lcm, gm))
+    left = f.context.monomial(1 / fc, tuple(map(sub, lcm, fm)))
+    right = f.context.monomial(1 / gc, tuple(map(sub, lcm, gm)))
     return left * f - right * g
-
-
-def _check_basis(f: Polynomial, basis: Sequence[Polynomial]) -> None:
-    for g in basis:
-        if g.context != f.context:
-            raise ContextMismatch("division basis must share the context of the dividend")
-        if g.is_zero:
-            raise RingError("division by a zero basis element")
 
 
 def divide(f: Polynomial, basis: Sequence[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
@@ -97,74 +97,111 @@ def divide(f: Polynomial, basis: Sequence[Polynomial]) -> tuple[list[Polynomial]
     term moves to the remainder.  The fixed rule keeps quotients deterministic
     even when the basis is not a Groebner basis.
     """
-    _check_basis(f, basis)
-    ctx = f.context
-    leads = [g.leading_term() for g in basis]
-    # (order key, -index) picks the largest leading monomial, then lowest index
-    choice_key = [(ctx.sort_key(m), -i) for i, (m, _) in enumerate(leads)]
-    quotients = [ctx.zero() for _ in basis]
-    remainder = ctx.zero()
-    work = f
-    while not work.is_zero:
-        exps, coeff = work.leading_term()
-        best = None
-        for i, (m, _) in enumerate(leads):
-            if monomial_divides(m, exps) and (best is None or choice_key[i] > choice_key[best]):
-                best = i
-        if best is None:
-            tip = ctx.monomial(coeff, exps)
-            remainder = remainder + tip
-            work = work - tip
-        else:
-            m, c = leads[best]
-            factor = ctx.monomial(coeff / c, monomial_div(exps, m))
-            quotients[best] = quotients[best] + factor
-            work = work - factor * basis[best]
-    return quotients, remainder
+    quotients: list[dict] = [{} for _ in basis]
+    remainder = _reduce(f, basis, quotients)
+    return [Polynomial._make(f.context, q) for q in quotients], remainder
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under division by basis; unique when basis is a Groebner basis."""
-    _, remainder = divide(f, basis)
-    return remainder
+    return _reduce(f, basis, None)
+
+
+def _reduce(f: Polynomial, basis: Sequence[Polynomial], quotients: list[dict] | None) -> Polynomial:
+    # The working polynomial is one dict; a heap of its monomials yields the
+    # leading term, and cancelled monomials are skipped when popped.  New
+    # terms lie below the reduced one, so no quotient term is written twice.
+    for g in basis:
+        if g.context != f.context:
+            raise ContextMismatch("division basis must share the context of the dividend")
+        if g.is_zero:
+            raise RingError("division by a zero basis element")
+    key = f.context.descending_key()
+    # largest leading monomial first, ties broken by the lowest index
+    candidates = sorted(
+        ((*g.leading_term(), g._terms, i) for i, g in enumerate(basis)),
+        key=lambda c: (key(c[0]), c[3]),
+    )
+    work = dict(f._terms)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    remainder: dict[Exponents, Fraction] = {}
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for lead, lead_coeff, terms, index in candidates:
+            if all(map(le, lead, exps)):
+                break
+        else:
+            remainder[exps] = coeff
+            continue
+        factor = coeff / lead_coeff
+        shift = tuple(map(sub, exps, lead))
+        if quotients is not None:
+            quotients[index][shift] = factor
+        for m, c in terms.items():
+            if m != lead:
+                m, c = tuple(map(add, m, shift)), factor * c
+                old = work.get(m)
+                if old is None:
+                    work[m] = -c
+                    heappush(heap, (key(m), m))
+                elif old == c:
+                    del work[m]
+                else:
+                    work[m] = old - c
+    return Polynomial._make(f.context, remainder)
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
+    """The ideal's reduced monic Groebner basis, completed once per Ideal object."""
+    return ideal.reduced_basis
+
+
+def _complete(ideal: Ideal) -> GroebnerBasis:
     """Complete the ideal's generators to the reduced monic Groebner basis.
 
-    Pair selection is the normal strategy: the pair whose leading-monomial
-    lcm is smallest in the monomial order goes first, ties broken by pair
-    index.  Pairs with coprime leading monomials are discarded outright,
-    since their S-polynomials always reduce to zero.
+    Pairs go in the normal strategy: smallest leading-monomial lcm first,
+    ties broken by pair index.  A pair is skipped when its leading monomials
+    are coprime, or by Buchberger's chain criterion: some other element's
+    leading monomial divides the lcm, and neither of its pairs with the two
+    is still queued (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 2, "Improvements on Buchberger's Algorithm").
     """
     if not ideal.generators:
         raise RingError("buchberger needs at least one generator")
     ctx = ideal.context
-    basis: list[Polynomial] = []
-    for g in ideal.generators:
-        g = g.monic()
-        if g not in basis:
-            basis.append(g)
-    pairs = {(i, j) for j in range(1, len(basis)) for i in range(j)}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                ctx.sort_key(monomial_lcm(basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial())),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        fm = basis[i].leading_monomial()
-        gm = basis[j].leading_monomial()
-        if monomial_lcm(fm, gm) == monomial_mul(fm, gm):
+    basis = list(dict.fromkeys(g.monic() for g in ideal.generators))
+    leads: list[Exponents] = []
+    heap: list[tuple] = []  # (lcm key, i, j) with i < j
+    queued: set[tuple[int, int]] = set()  # the pairs in the heap, both ways round
+
+    def add_pairs(g: Polynomial) -> None:
+        k, lead = len(leads), g.leading_monomial()
+        for i, other in enumerate(leads):
+            lcm = monomial_lcm(other, lead)
+            if lcm != monomial_mul(other, lead):
+                heappush(heap, (ctx.sort_key(lcm), i, k))
+                queued.update(((i, k), (k, i)))
+        leads.append(lead)
+
+    for g in basis:
+        add_pairs(g)
+    while heap:
+        _, i, j = heappop(heap)
+        queued.difference_update(((i, j), (j, i)))
+        lcm = monomial_lcm(leads[i], leads[j])
+        if any(
+            k != i and k != j and (i, k) not in queued and (j, k) not in queued and monomial_divides(m, lcm)
+            for k, m in enumerate(leads)
+        ):
             continue
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero:
-            continue
-        basis.append(remainder.monic())
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        if not remainder.is_zero:
+            basis.append(remainder.monic())
+            add_pairs(basis[-1])
     return GroebnerBasis(ctx, _reduce_basis(ctx, basis))
 
 
@@ -191,4 +228,4 @@ def is_member(f: Polynomial, ideal: Ideal) -> bool:
     """Ideal membership through the reduced Groebner basis."""
     if f.context != ideal.context:
         raise ContextMismatch("membership test needs the ideal's context")
-    return buchberger(ideal).contains(f)
+    return ideal.reduced_basis.contains(f)

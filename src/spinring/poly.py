@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from operator import le, mul
+from typing import Callable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -38,14 +39,7 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Exponents, b: Exponents) -> Exponents | None:
-    """Exponents of a/b, or None when b does not divide a."""
-    if not monomial_divides(b, a):
-        return None
-    return tuple(x - y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -94,7 +88,7 @@ class RingContext:
             raise RingError(f"unknown variable {name!r}") from None
 
     def degree(self, exps: Exponents) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def sort_key(self, exps: Exponents):
         """Key ascending in the monomial order; the leading monomial is the max.
@@ -105,7 +99,15 @@ class RingContext:
         """
         if self.order == LEX:
             return exps
-        return (self.degree(exps), tuple(-e for e in reversed(exps)))
+        return (sum(map(mul, self.weights, exps)), tuple([-e for e in reversed(exps)]))
+
+    def descending_key(self) -> Callable[[Exponents], tuple]:
+        """A key function descending in the monomial order, so a min-heap pops
+        the largest monomial first; fetch it once per loop, not per call."""
+        if self.order == LEX:
+            return lambda exps: tuple([-e for e in exps])
+        weights = self.weights
+        return lambda exps: (-sum(map(mul, weights, exps)), exps[::-1])
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -128,9 +130,9 @@ class RingContext:
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent tuples to Fractions."""
 
-    __slots__ = ("context", "_terms", "_hash")
+    __slots__ = ("context", "_terms", "_hash", "_lead")
 
-    def __init__(self, context: RingContext, terms: Mapping[Exponents, Scalar]):
+    def __new__(cls, context: RingContext, terms: Mapping[Exponents, Scalar]) -> "Polynomial":
         cleaned: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -139,9 +141,17 @@ class Polynomial:
             coeff = Fraction(coeff)
             if coeff:
                 cleaned[exps] = coeff
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_hash", None)
+        return cls._make(context, cleaned)
+
+    @classmethod
+    def _make(cls, context: RingContext, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap a fresh term dict the engine built itself, unchecked: no zero coefficients."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "context", context)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        object.__setattr__(poly, "_lead", None)  # cached leading term
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -171,10 +181,12 @@ class Polynomial:
         return tuple(exps for exps, _ in self.terms())
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
-        if not self._terms:
-            raise RingError("zero polynomial has no leading term")
-        exps = max(self._terms, key=self.context.sort_key)
-        return exps, self._terms[exps]
+        if self._lead is None:
+            if not self._terms:
+                raise RingError("zero polynomial has no leading term")
+            exps = max(self._terms, key=self.context.sort_key)
+            object.__setattr__(self, "_lead", (exps, self._terms[exps]))
+        return self._lead
 
     def leading_monomial(self) -> Exponents:
         return self.leading_term()[0]
@@ -222,13 +234,13 @@ class Polynomial:
             return NotImplemented
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.context, terms)
+            terms[exps] = terms.get(exps, 0) + coeff
+        return Polynomial._make(self.context, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.context, {e: -c for e, c in self._terms.items()})
+        return Polynomial._make(self.context, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -247,7 +259,7 @@ class Polynomial:
             factor = Fraction(other)
             if not factor:
                 return self.context.zero()
-            return Polynomial(self.context, {e: c * factor for e, c in self._terms.items()})
+            return Polynomial._make(self.context, {e: c * factor for e, c in self._terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -255,8 +267,8 @@ class Polynomial:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exps = monomial_mul(e1, e2)
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(self.context, terms)
+                terms[exps] = terms.get(exps, 0) + c1 * c2
+        return Polynomial._make(self.context, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

@@ -15,7 +15,6 @@ witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,8 +24,17 @@ from .groebner import GroebnerBasis
 from .poly import ContextMismatch, Exponents, Polynomial, RingError, monomial_divides
 
 
+# Largest quotient dimension build_quotient enumerates; x^90, y^90, z^90
+# (dimension 729 000) still fits.
+MAX_DIMENSION = 1_000_000
+
+
 class NonArtinianError(RingError):
     """The quotient is infinite dimensional."""
+
+
+class DimensionLimitError(RingError):
+    """The quotient is finite but larger than MAX_DIMENSION."""
 
 
 class DegreeError(RingError):
@@ -95,16 +103,38 @@ def build_quotient(basis: GroebnerBasis) -> QuotientRing:
                 f"no power of {name} lies in the leading-term ideal, quotient is infinite dimensional"
             )
         bounds.append(min(pure))
+    # x_i^e is standard for every e below its bound, so the largest bound is
+    # a lower bound for the dimension
+    if max(bounds) > MAX_DIMENSION:
+        raise DimensionLimitError(f"quotient dimension exceeds the limit of {MAX_DIMENSION}")
+    # Walk the order ideal up from 1.  Every standard monomial but 1 has one
+    # parent, itself divided by its last variable with a nonzero exponent,
+    # and the parent is standard too; so multiplying each standard monomial
+    # by its last variable and the ones after it reaches each exactly once.
+    # A leading monomial that divides a child but not its parent has the
+    # child's exponent in the variable just raised.
+    raised: list[dict[int, list[Exponents]]] = [{} for _ in ctx.variables]
+    for m in leads:
+        for i, e in enumerate(m):
+            raised[i].setdefault(e, []).append(m)
+    one = (0,) * ctx.nvars
+    walk = [] if one in leads else [(one, 0)]
+    for exps, last in walk:  # grows while it is walked
+        for i in range(last, ctx.nvars):
+            child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            if not any(monomial_divides(m, child) for m in raised[i].get(child[i], ())):
+                walk.append((child, i))
+        if len(walk) > MAX_DIMENSION:
+            raise DimensionLimitError(f"quotient dimension exceeds the limit of {MAX_DIMENSION}")
     by_degree: dict[int, list[Exponents]] = {}
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(monomial_divides(m, exps) for m in leads):
-            by_degree.setdefault(ctx.degree(exps), []).append(exps)
+    for exps, _ in walk:
+        by_degree.setdefault(ctx.degree(exps), []).append(exps)
     if not by_degree:
         # the unit ideal leaves the zero ring behind
         return QuotientRing(basis=basis, standard_monomials=((),), top_degree=0)
     top = max(by_degree)
     layers = tuple(
-        tuple(sorted(by_degree.get(d, ()), key=ctx.sort_key, reverse=True))
+        tuple(sorted(by_degree.get(d, ()), key=ctx.descending_key()))
         for d in range(top + 1)
     )
     return QuotientRing(basis=basis, standard_monomials=layers, top_degree=top)

@@ -152,3 +152,83 @@ def random_member(rng: random.Random, ideal: Ideal) -> Polynomial:
     for g in ideal.generators:
         total = total + ctx.monomial(rng.randint(-3, 3), rng.choice(monos)) * g
     return total
+
+
+# -- reference engine ---------------------------------------------------------
+#
+# The straightforward Groebner engine the fast kernel must agree with: naive
+# division that rebuilds the working polynomial and the quotients at every
+# step, and Buchberger's algorithm over every pair, with the normal selection
+# strategy and no criterion at all.
+# Slow, but short enough to check by eye.
+
+
+def reference_divide(f: Polynomial, basis) -> tuple[list[Polynomial], Polynomial]:
+    """Division with the engine's selection rule: reduce the leading term by
+    the basis element with the largest dividing leading monomial, ties broken
+    by the lowest index; otherwise move the term to the remainder."""
+    ctx = f.context
+    leads = [g.leading_term() for g in basis]
+    choice_key = [(ctx.sort_key(m), -i) for i, (m, _) in enumerate(leads)]
+    quotients = [ctx.zero() for _ in basis]
+    remainder = ctx.zero()
+    work = f
+    while not work.is_zero:
+        exps, coeff = work.leading_term()
+        best = None
+        for i, (m, _) in enumerate(leads):
+            divides = all(a <= b for a, b in zip(m, exps))
+            if divides and (best is None or choice_key[i] > choice_key[best]):
+                best = i
+        if best is None:
+            tip = ctx.monomial(coeff, exps)
+            remainder = remainder + tip
+            work = work - tip
+        else:
+            m, c = leads[best]
+            factor = ctx.monomial(coeff / c, tuple(a - b for a, b in zip(exps, m)))
+            quotients[best] = quotients[best] + factor
+            work = work - factor * basis[best]
+    return quotients, remainder
+
+
+def reference_buchberger(ideal: Ideal) -> tuple[Polynomial, ...]:
+    """Reduced monic Groebner basis, sorted descending by leading monomial."""
+    ctx = ideal.context
+
+    def lead(g):
+        return g.leading_term()[0]
+
+    def nf(f, basis):
+        return reference_divide(f, basis)[1]
+
+    basis: list[Polynomial] = []
+    for g in ideal.generators:
+        g = g * (1 / g.leading_term()[1])
+        if g not in basis:
+            basis.append(g)
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(lead(basis[i]), lead(basis[j])))
+
+    # the normal strategy: the pair with the smallest lcm first
+    pairs = {(i, j) for j in range(1, len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda p: (ctx.sort_key(lcm(*p)), p))
+        pairs.discard((i, j))
+        (fm, fc), (gm, gc) = basis[i].leading_term(), basis[j].leading_term()
+        lcm_ij = lcm(i, j)
+        left = ctx.monomial(1 / fc, tuple(a - b for a, b in zip(lcm_ij, fm)))
+        right = ctx.monomial(1 / gc, tuple(a - b for a, b in zip(lcm_ij, gm)))
+        remainder = nf(left * basis[i] - right * basis[j], basis)
+        if not remainder.is_zero:
+            basis.append(remainder * (1 / remainder.leading_term()[1]))
+            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal: list[Polynomial] = []
+    for g in sorted(basis, key=lambda g: ctx.sort_key(lead(g))):
+        if not any(all(a <= b for a, b in zip(lead(h), lead(g))) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        h = nf(g, minimal[:i] + minimal[i + 1 :])
+        reduced.append(h * (1 / h.leading_term()[1]))
+    return tuple(sorted(reduced, key=lambda g: ctx.sort_key(lead(g)), reverse=True))

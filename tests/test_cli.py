@@ -14,6 +14,7 @@ import pytest
 import spinring
 from spinring.cli import main
 from spinring.parser import MAX_NESTING
+from spinring.quotient import MAX_DIMENSION
 
 RING_FILE = """\
 ring toy
@@ -282,6 +283,42 @@ def test_non_artinian_exit_code(capsys, tmp_path):
     assert code == 3
     assert "no power of" in err
     assert err.count("\n") == 1
+
+
+def test_dimension_limit_exit_code(capsys, tmp_path):
+    path = tmp_path / "big.ring"
+    path.write_text("ring big\nvars x\nideal\n  x^99999999999\nend\n")
+    code, out, err = run(capsys, "hilbert", "--ring", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"spinring: quotient dimension exceeds the limit of {MAX_DIMENSION}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert"],
+        ["integrate", "--expr", "x", "--point", "x=1"],
+        ["lefschetz", "--class", "x", "--from-degree", "1"],
+    ],
+    ids=["hilbert", "integrate", "lefschetz"],
+)
+def test_graded_commands_refuse_ungraded_quotient(capsys, tmp_path, argv):
+    # x is invertible in the toy ring, so no Hilbert function or Lefschetz
+    # rank exists there
+    path = tmp_path / "toy.ring"
+    path.write_text(RING_FILE)
+    code, out, err = run(capsys, argv[0], "--ring", str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == (
+        "spinring: the quotient is not graded: basis element x^2 - y is not weighted-homogeneous\n"
+    )
+
+
+def test_nf_of_large_power(capsys, tmp_path):
+    path = tmp_path / "toy.ring"
+    path.write_text(RING_FILE)
+    code, out, _ = run(capsys, "nf", "--ring", str(path), "--expr", "x^3000")
+    assert (code, out) == (0, "1\n")
 
 
 def test_usage_error_exits_2(capsys):

@@ -7,6 +7,7 @@ membership oracle that knows nothing about S-polynomials.
 """
 
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,14 @@ from spinring import (
     s_polynomial,
 )
 
-from oracles import brute_force_member, random_ideal, random_member, random_polynomial
+from oracles import (
+    brute_force_member,
+    random_ideal,
+    random_member,
+    random_polynomial,
+    reference_buchberger,
+    reference_divide,
+)
 
 XY = RingContext(("x", "y"))
 X, Y = XY.variable("x"), XY.variable("y")
@@ -179,3 +187,71 @@ def test_lex_order_eliminates():
     assert [str(g) for g in gb] == ["x - y^2", "y^3 - 1"]
     assert gb.contains(x**2 - y)
     assert gb.contains(x * y - 1)
+
+
+def test_engine_matches_reference_engine():
+    # grevlex, lex and weighted grevlex: the same reduced bases, and the same
+    # quotients and remainders, also when dividing by a non-Groebner list
+    # that holds repeated leading monomials
+    rng = random.Random(31337)
+    orders = [("grevlex", ()), ("lex", ()), ("grevlex", (2, 1, 3))]
+    for trial in range(300):
+        order, weights = orders[trial % 3]
+        nvars = rng.randint(2, 3)
+        ctx = RingContext(tuple("xyz"[:nvars]), weights[:nvars], order)
+        ideal = Ideal(ctx, tuple(random_polynomial(rng, ctx) for _ in range(rng.randint(1, 3))))
+        gb = buchberger(ideal)
+        assert gb.elements == reference_buchberger(ideal)
+        f = random_polynomial(rng, ctx, max_degree=4, max_terms=6)
+        for basis in (gb.elements, ideal.generators + gb.elements):
+            assert divide(f, basis) == reference_divide(f, basis)
+
+
+def test_normal_form_of_large_power_is_fast():
+    # x^3 = 1 in the toy ring; division must not cost quadratic time in the
+    # exponent
+    gb = buchberger(small_ideal())
+    f = X**20000
+    start = time.monotonic()
+    assert gb.normal_form(f) == Y
+    assert time.monotonic() - start < 2.0
+
+
+def cyclic(n: int) -> Ideal:
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    x = [ctx.variable(v) for v in ctx.variables]
+    generators = []
+    for d in range(1, n):
+        total = ctx.zero()
+        for i in range(n):
+            term = ctx.one()
+            for k in range(d):
+                term = term * x[(i + k) % n]
+            total = total + term
+        generators.append(total)
+    product = ctx.one()
+    for v in x:
+        product = product * v
+    return Ideal(ctx, tuple(generators) + (product - 1,))
+
+
+def test_cyclic_5_completes_quickly():
+    ideal = cyclic(5)
+    start = time.monotonic()
+    gb = buchberger(ideal)
+    assert time.monotonic() - start < 10.0
+    assert len(gb) == 20
+    reduced_invariants(gb)
+    assert all(gb.contains(g) for g in ideal.generators)
+
+
+def test_basis_is_computed_once_per_ideal():
+    ideal = small_ideal()
+    assert buchberger(ideal) is buchberger(ideal)
+    assert is_member(X * Y - 1, ideal)
+    assert buchberger(ideal) is ideal.reduced_basis
+    # an equal ideal built separately completes on its own
+    twin = small_ideal()
+    assert twin == ideal
+    assert buchberger(twin) == buchberger(ideal)
+    assert buchberger(twin) is not buchberger(ideal)

@@ -1,5 +1,6 @@
 """Quotient rings: standard monomials, integration, and exact linear algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,10 @@ from spinring import (
     rank,
 )
 
-from oracles import combinatorial_hilbert, plain_rank
+from spinring import quotient
+from spinring.quotient import DimensionLimitError
+
+from oracles import combinatorial_hilbert, plain_rank, random_polynomial
 
 
 def monomial_quotient(ctx: RingContext, exponent_sets) -> "QuotientRing":
@@ -98,6 +102,46 @@ def test_hilbert_of_random_monomial_ideals():
         ring = monomial_quotient(ctx, exps)
         lms = ring.basis.leading_monomials()
         assert hilbert_function(ring) == combinatorial_hilbert(lms, ctx)
+
+
+def test_standard_monomials_match_box_scan():
+    # the order-ideal walk lists exactly the monomials of the pure-power box
+    # that no leading monomial divides, each degree descending in the order
+    rng = random.Random(2718)
+    orders = [("grevlex", ()), ("lex", ()), ("grevlex", (2, 1, 3))]
+    for trial in range(30):
+        order, weights = orders[trial % 3]
+        nvars = rng.randint(2, 3)
+        ctx = RingContext(tuple("xyz"[:nvars]), weights[:nvars], order)
+        powers = tuple(ctx.variable(v) ** rng.randint(2, 4) for v in ctx.variables)
+        extras = tuple(random_polynomial(rng, ctx, max_degree=3) for _ in range(rng.randint(0, 2)))
+        ring = build_quotient(buchberger(Ideal(ctx, powers + extras)))
+        lms = ring.basis.leading_monomials()
+        bounds = [
+            min((m[i] for m in lms if sum(m) == m[i]), default=0) for i in range(nvars)
+        ]
+        layers: dict[int, list] = {}
+        for exps in itertools.product(*(range(b) for b in bounds)):
+            if not any(all(a <= b for a, b in zip(m, exps)) for m in lms):
+                layers.setdefault(ctx.degree(exps), []).append(exps)
+        top = max(layers, default=0)
+        expected = tuple(
+            tuple(sorted(layers.get(d, ()), key=ctx.sort_key, reverse=True)) for d in range(top + 1)
+        )
+        assert ring.standard_monomials == expected
+
+
+def test_dimension_limit(monkeypatch):
+    assert quotient.MAX_DIMENSION >= 90**3
+    ctx = RingContext(("x", "y", "z"))
+    box = [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+    monkeypatch.setattr(quotient, "MAX_DIMENSION", 26)
+    with pytest.raises(DimensionLimitError, match="limit of 26"):
+        monomial_quotient(ctx, box)  # found by the walk
+    with pytest.raises(DimensionLimitError):
+        monomial_quotient(ctx, [(27, 0, 0), (0, 1, 0), (0, 0, 1)])  # found from a pure power
+    monkeypatch.setattr(quotient, "MAX_DIMENSION", 27)
+    assert sum(hilbert_function(monomial_quotient(ctx, box))) == 27
 
 
 def test_weighted_hilbert_has_explicit_gap():
