@@ -2,8 +2,9 @@
 
 Every subcommand that works on a ring takes exactly one input source:
 ``--ring FILE`` (the block format documented in the parser module) or
-``--builtin even|odd`` for the two hard-coded spin presentations.  Output is
-deterministic; ``--format json`` switches to a versioned structured schema.
+``--builtin even|odd``, which names the built-in ring file of one of the two
+spin presentations.  Output is deterministic; ``--format json`` switches to
+a versioned structured schema.
 
 Exit codes: 0 success or pass, 1 verification failure or negative
 membership, 2 parse or usage error, 3 engine error (non-Artinian quotient,
@@ -41,36 +42,24 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 class _Source:
-    """One resolved input ring: context, Groebner basis, optional normalization."""
+    """One resolved input ring: name, context, Groebner basis, optional normalization."""
 
     def __init__(self, args):
         if args.builtin:
             presentation = spindomain.builtin(args.builtin)
-            self.name = f"builtin-{args.builtin}"
-            self.context = presentation.context
-            self.normalization = presentation.point_normalization
-            self.basis = spindomain.groebner_basis(args.builtin)
+            ring_file, self.normalization = presentation.ring_file, presentation.point_normalization
         else:
             try:
                 text = Path(args.ring).read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read ring file: {exc}") from None
-            ring_file = parse_ring_file(text)
-            self.name = ring_file.name
-            self.context = ring_file.context
-            self.normalization = None
-            self.basis = buchberger(ring_file.ideal)
+            ring_file, self.normalization = parse_ring_file(text), None
+        self.name = ring_file.name
+        self.context = ring_file.context
+        self.basis = buchberger(ring_file.ideal)
 
     def parse(self, text: str):
         return parse_polynomial(text, self.context)
-
-    def quotient(self):
-        # hilbert, integrate and lefschetz report graded quantities, which
-        # exist only when the ideal is homogeneous
-        for g in self.basis:
-            if not g.is_homogeneous:
-                raise RingError(f"the quotient is not graded: basis element {g} is not weighted-homogeneous")
-        return build_quotient(self.basis)
 
 
 def _point_normalization(source: _Source, spec_text: str | None) -> PointNormalization:
@@ -108,18 +97,18 @@ def _member(args, source):
 
 
 def _hilbert(args, source):
-    dimensions = hilbert_function(source.quotient())
+    dimensions = hilbert_function(build_quotient(source.basis))
     return {"dimensions": dimensions}, " ".join(map(str, dimensions)), 0
 
 
 def _integrate(args, source):
     normalization = _point_normalization(source, args.point)
-    value = str(integrate(source.quotient(), source.parse(args.expr), normalization))
+    value = str(integrate(build_quotient(source.basis), source.parse(args.expr), normalization))
     return {"expr": args.expr, "integral": value}, value, 0
 
 
 def _lefschetz(args, source):
-    matrix = multiplication_matrix(source.quotient(), source.parse(args.multiplier), args.from_degree)
+    matrix = multiplication_matrix(build_quotient(source.basis), source.parse(args.multiplier), args.from_degree)
     matrix_rank = rank(matrix)
     cells = [[str(entry) for entry in row] for row in matrix]
     fields = {

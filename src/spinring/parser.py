@@ -12,6 +12,8 @@ The ``rational factors`` form is the one place where '*' may be omitted:
 ``3a0`` means ``3*a0``.  Writing two variables side by side (``a0 a1``) is
 rejected, as is an exponent on a parenthesized group.  Coefficients are
 rational literals only.  Parentheses nest at most ``MAX_NESTING`` deep.
+Numbers are runs of decimal digits in any script; other digit characters,
+such as superscripts, are rejected.
 
 Ring files present a quotient ring in a small block format::
 
@@ -28,8 +30,10 @@ Both parsers raise :class:`ParseError` with 1-based positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .groebner import Ideal
 from .poly import Polynomial, RingContext, RingError
@@ -37,6 +41,11 @@ from .poly import Polynomial, RingContext, RingError
 # deep enough for any hand-written expression, shallow enough that the
 # recursive-descent parser stays far from the interpreter's recursion limit
 MAX_NESTING = 100
+
+# Every character falls in exactly one match.  \d is exactly what int()
+# reads; a word that does not start with a letter or '_' (a superscript,
+# say) is an unexpected character.
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>\w+)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 class ParseError(RingError):
@@ -52,181 +61,141 @@ class ParseError(RingError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset into text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch.isspace():
-            column += 1
-            i += 1
-        elif ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("num", text[start:i], line, column))
-            column += i - start
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], line, column))
-            column += i - start
-        elif ch in "+-*/^()":
-            tokens.append(_Token("op", ch, line, column))
-            column += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "end of input", line, column))
+    for match in _TOKEN.finditer(text):
+        kind, token = match.lastgroup, match.group()
+        if kind == "bad" or kind == "name" and not (token[0].isalpha() or token[0] == "_"):
+            raise ParseError(f"unexpected character {token[0]!r}", *_position(text, match.start()))
+        if kind != "space":
+            tokens.append(_Token(kind, token, match.start()))
+    tokens.append(_Token("end", "end of input", len(text)))
     return tokens
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[_Token], context: RingContext):
-        self.tokens = tokens
+    def __init__(self, text: str, context: RingContext):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.context = context
         self.depth = 0
+
+    def error(self, message: str, token: _Token) -> ParseError:
+        return ParseError(message, *_position(self.text, token.offset))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
     def advance(self) -> _Token:
-        token = self.tokens[self.pos]
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
-    def at_op(self, *symbols: str) -> bool:
-        token = self.peek()
-        return token.kind == "op" and token.text in symbols
+    def at(self, *symbols: str) -> bool:
+        # no number or name is spelled like an operator
+        return self.peek().text in symbols
+
+    def accept(self, symbol: str) -> bool:
+        """Step over the next token if it is the given operator."""
+        found = self.at(symbol)
+        self.pos += found
+        return found
+
+    def number(self, expected: str) -> int:
+        token = self.advance()
+        if token.kind != "num":
+            raise self.error(f"expected {expected}, got {token.text}", token)
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", token) from None
 
     def expr(self) -> Polynomial:
-        sign = 1
-        if self.at_op("+", "-"):
-            sign = -1 if self.advance().text == "-" else 1
-        total = self.term() * sign
-        while self.at_op("+", "-"):
-            sign = -1 if self.advance().text == "-" else 1
-            total = total + self.term() * sign
+        total = self.signed_term()
+        while self.at("+", "-"):
+            total = total + self.signed_term()
         return total
 
+    def signed_term(self) -> Polynomial:
+        sign = -1 if self.at("+", "-") and self.advance().text == "-" else 1
+        return self.term() * sign
+
     def term(self) -> Polynomial:
-        token = self.peek()
-        if token.kind == "num":
-            coeff = self.rational()
-            if self.at_op("*"):
-                self.advance()
-                return self.factors() * coeff
-            if self.peek().kind == "name":
-                # the only spot where '*' may be left out
-                return self.factors() * coeff
-            if self.at_op("("):
-                nxt = self.peek()
-                raise ParseError("missing '*' before '('", nxt.line, nxt.column)
+        if self.peek().kind != "num":
+            return self.factors()
+        coeff = self.rational()
+        # '*' may be left out before a variable, and only there
+        if not self.accept("*") and self.peek().kind != "name":
+            if self.at("("):
+                raise self.error("missing '*' before '('", self.peek())
             return self.context.constant(coeff)
-        return self.factors()
+        return self.factors() * coeff
 
     def rational(self) -> Fraction:
-        numerator = int(self.advance().text)
-        if not self.at_op("/"):
+        numerator = self.number("a number")
+        if not self.accept("/"):
             return Fraction(numerator)
-        self.advance()
         token = self.peek()
-        if token.kind != "num":
-            raise ParseError(f"expected a denominator, got {token.text}", token.line, token.column)
-        self.advance()
-        if int(token.text) == 0:
-            raise ParseError("malformed rational: zero denominator", token.line, token.column)
-        return Fraction(numerator, int(token.text))
+        denominator = self.number("a denominator")
+        if not denominator:
+            raise self.error("malformed rational: zero denominator", token)
+        return Fraction(numerator, denominator)
 
     def factors(self) -> Polynomial:
         result = self.factor()
-        while True:
-            if self.at_op("*"):
-                self.advance()
-                result = result * self.factor()
-            elif self.peek().kind == "name" or self.at_op("("):
-                token = self.peek()
-                raise ParseError(
-                    f"missing '*' before {token.text}", token.line, token.column
-                )
-            else:
-                return result
+        while self.accept("*"):
+            result = result * self.factor()
+        token = self.peek()
+        if token.kind == "name" or token.text == "(":
+            raise self.error(f"missing '*' before {token.text}", token)
+        return result
 
     def factor(self) -> Polynomial:
-        token = self.peek()
+        token = self.advance()
         if token.kind == "name":
-            self.advance()
-            exps = [0] * self.context.nvars
-            try:
-                index = self.context.var_index(token.text)
-            except RingError:
-                raise ParseError(
-                    f"unknown variable {token.text}", token.line, token.column
-                ) from None
-            exps[index] = self.exponent() if self.at_op("^") else 1
-            return self.context.monomial(1, tuple(exps))
-        if self.at_op("("):
-            opener = self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", opener.line, opener.column)
-            inner = self.expr()
-            self.depth -= 1
-            if not self.at_op(")"):
-                raise ParseError(
-                    f"unbalanced parentheses: '(' at column {opener.column} never closed",
-                    opener.line,
-                    self.peek().column,
-                )
-            self.advance()
-            if self.at_op("^"):
-                token = self.peek()
-                raise ParseError(
-                    "exponent on a parenthesized group is not supported",
-                    token.line,
-                    token.column,
-                )
-            return inner
-        raise ParseError(f"expected a term, got {token.text}", token.line, token.column)
-
-    def exponent(self) -> int:
-        self.advance()  # the '^'
-        token = self.peek()
-        if token.kind != "num":
-            raise ParseError(
-                f"expected an integer exponent, got {token.text}", token.line, token.column
-            )
-        self.advance()
-        return int(token.text)
+            if token.text not in self.context.variables:
+                raise self.error(f"unknown variable {token.text}", token)
+            power = self.number("an integer exponent") if self.accept("^") else 1
+            exps = tuple(power if name == token.text else 0 for name in self.context.variables)
+            return self.context.monomial(1, exps)
+        if token.text != "(":
+            raise self.error(f"expected a term, got {token.text}", token)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error("expression nested too deeply", token)
+        inner = self.expr()
+        self.depth -= 1
+        if not self.accept(")"):
+            line, column = _position(self.text, token.offset)
+            here = _position(self.text, self.peek().offset)[1]
+            raise ParseError(f"unbalanced parentheses: '(' at column {column} never closed", line, here)
+        if self.at("^"):
+            raise self.error("exponent on a parenthesized group is not supported", self.peek())
+        return inner
 
 
 def parse_polynomial(text: str, context: RingContext) -> Polynomial:
     """Parse one polynomial expression in the given context."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "end":
+    parser = _ExprParser(text, context)
+    if parser.peek().kind == "end":
         raise ParseError("empty input", 1, 1)
-    parser = _ExprParser(tokens, context)
     result = parser.expr()
     leftover = parser.peek()
+    if leftover.text == ")":
+        raise parser.error("unbalanced parentheses: ')' was never opened", leftover)
     if leftover.kind != "end":
-        if leftover.kind == "op" and leftover.text == ")":
-            raise ParseError("unbalanced parentheses: ')' was never opened", leftover.line, leftover.column)
-        raise ParseError(f"unexpected {leftover.text}", leftover.line, leftover.column)
+        raise parser.error(f"unexpected {leftover.text}", leftover)
     return result
 
 
@@ -252,76 +221,57 @@ class RingFile:
 
 def parse_ring_file(text: str) -> RingFile:
     """Parse the block format documented in the module docstring."""
-    name = None
-    variables: list[str] | None = None
-    weights: list[int] | None = None
-    order: str | None = None
-    context: RingContext | None = None
-    generators: list[Polynomial] = []
-    stage = "ring"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        keyword = fields[0]
-        if stage == "done":
-            raise ParseError(f"line {lineno}: content after 'end'")
-        if stage == "ring":
-            if keyword != "ring" or len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected 'ring <name>'")
-            name = fields[1]
-            stage = "vars"
-        elif stage == "vars":
-            if keyword != "vars" or len(fields) < 2:
-                raise ParseError(f"line {lineno}: expected 'vars <name>...'")
-            variables = fields[1:]
-            stage = "preamble"
-        elif stage == "preamble":
-            if keyword == "weights":
-                if weights is not None:
-                    raise ParseError(f"line {lineno}: duplicate weights line")
-                try:
-                    weights = [int(w) for w in fields[1:]]
-                except ValueError:
-                    raise ParseError(f"line {lineno}: weights must be integers") from None
-            elif keyword == "order":
-                if order is not None:
-                    raise ParseError(f"line {lineno}: duplicate order line")
-                if len(fields) != 2:
-                    raise ParseError(f"line {lineno}: expected 'order <tag>'")
-                order = fields[1]
-            elif keyword == "ideal":
-                if len(fields) != 1:
-                    raise ParseError(f"line {lineno}: 'ideal' takes no arguments")
-                try:
-                    context = RingContext(
-                        variables=tuple(variables),
-                        weights=tuple(weights) if weights is not None else (),
-                        order=order if order is not None else "grevlex",
-                    )
-                except RingError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                stage = "generators"
-            else:
-                raise ParseError(
-                    f"line {lineno}: expected 'weights', 'order', or 'ideal', got {keyword!r}"
-                )
-        elif stage == "generators":
-            if line == "end":
-                stage = "done"
-                continue
-            try:
-                # parse the raw line so reported columns match the file
-                generator = parse_polynomial(raw, context)
-            except ParseError as exc:
-                raise ParseError(exc.message, lineno, exc.column) from None
-            if generator.is_zero:
-                raise ParseError(f"line {lineno}: generator is zero")
-            generators.append(generator)
-    if stage != "done":
-        missing = {"ring": "'ring' header", "vars": "'vars' line", "preamble": "'ideal' block"}.get(
-            stage, "'end'"
-        )
+    # the nonblank lines as (line number, raw line, fields)
+    lines = ((n, raw, raw.split()) for n, raw in enumerate(text.splitlines(), start=1) if raw.strip())
+
+    def take(missing):
+        for line in lines:
+            return line
         raise ParseError(f"unexpected end of file: missing {missing}")
+
+    lineno, _, fields = take("'ring' header")
+    if fields[0] != "ring" or len(fields) != 2:
+        raise ParseError(f"line {lineno}: expected 'ring <name>'")
+    name = fields[1]
+    lineno, _, fields = take("'vars' line")
+    if fields[0] != "vars" or len(fields) < 2:
+        raise ParseError(f"line {lineno}: expected 'vars <name>...'")
+    variables = tuple(fields[1:])
+    preamble = {}  # RingContext keywords: weights, order
+    lineno, _, (keyword, *values) = take("'ideal' block")
+    while keyword != "ideal":
+        if keyword not in ("weights", "order"):
+            raise ParseError(f"line {lineno}: expected 'weights', 'order', or 'ideal', got {keyword!r}")
+        if keyword in preamble:
+            raise ParseError(f"line {lineno}: duplicate {keyword} line")
+        if keyword == "weights":
+            try:
+                preamble[keyword] = tuple(map(int, values))
+            except ValueError:
+                raise ParseError(f"line {lineno}: weights must be integers") from None
+        elif len(values) != 1:
+            raise ParseError(f"line {lineno}: expected 'order <tag>'")
+        else:
+            preamble[keyword] = values[0]
+        lineno, _, (keyword, *values) = take("'ideal' block")
+    if values:
+        raise ParseError(f"line {lineno}: 'ideal' takes no arguments")
+    try:
+        context = RingContext(variables, **preamble)
+    except RingError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    generators = []
+    lineno, raw, fields = take("'end'")
+    while fields != ["end"]:
+        try:
+            # parse the raw line so reported columns match the file
+            generator = parse_polynomial(raw, context)
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, exc.column) from None
+        if generator.is_zero:
+            raise ParseError(f"line {lineno}: generator is zero")
+        generators.append(generator)
+        lineno, raw, fields = take("'end'")
+    for lineno, _, _ in lines:
+        raise ParseError(f"line {lineno}: content after 'end'")
     return RingFile(name=name, context=context, ideal=Ideal(context, tuple(generators)))

@@ -156,6 +156,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor
+        return type(self), (self.context, self._terms)
+
     # -- inspection ---------------------------------------------------------
 
     @property

@@ -5,7 +5,10 @@ its standard monomials (the monomials outside the leading-term ideal),
 grouped by weighted degree.  The quotient must be Artinian, i.e. finite
 dimensional; that holds exactly when the leading-term ideal contains a pure
 power of every variable, and the offending variable is named when it does
-not.
+not.  Graded quantities (Hilbert functions, coordinates in a graded piece,
+integrals and the matrices) exist only when the ideal is weighted-
+homogeneous; asked of any other quotient they raise :class:`NotGradedError`,
+while normal forms work on every quotient.
 
 Integration against a point normalization turns top-degree classes into
 rational numbers: fix one witness monomial with a known value, then any
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -39,6 +43,10 @@ class DimensionLimitError(RingError):
 
 class DegreeError(RingError):
     """An operation received a class of the wrong (or mixed) degree."""
+
+
+class NotGradedError(RingError):
+    """A graded quantity was asked of a quotient whose ideal is not weighted-homogeneous."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,17 @@ class QuotientRing:
         """Product in the quotient, expressed in standard monomials."""
         return self.reduce(f * g)
 
+    @cached_property
+    def _inhomogeneous(self) -> Polynomial | None:
+        return next((g for g in self.basis if not g.is_homogeneous), None)
+
+    def _require_grading(self) -> None:
+        # graded quantities exist only when the reduced basis is weighted-homogeneous
+        if self._inhomogeneous is not None:
+            raise NotGradedError(
+                f"the quotient is not graded: basis element {self._inhomogeneous} is not weighted-homogeneous"
+            )
+
     def dimension(self, degree: int) -> int:
         if 0 <= degree <= self.top_degree:
             return len(self.standard_monomials[degree])
@@ -82,6 +101,7 @@ class QuotientRing:
 
     def coordinates(self, f: Polynomial, degree: int) -> list[Fraction]:
         """Coordinates of f's normal form in the degree-d standard basis."""
+        self._require_grading()
         reduced = self.reduce(f)
         stray = [d for d in reduced.degree_support() if d != degree]
         if stray:
@@ -142,6 +162,7 @@ def build_quotient(basis: GroebnerBasis) -> QuotientRing:
 
 def hilbert_function(quotient: QuotientRing) -> list[int]:
     """Dimensions of the graded pieces from degree 0 through the top degree."""
+    quotient._require_grading()
     return [len(layer) for layer in quotient.standard_monomials]
 
 
@@ -152,6 +173,7 @@ def integrate(quotient: QuotientRing, f: Polynomial, normalization: PointNormali
     anything whose normal form has a component outside the top degree is an
     error rather than silently truncated.
     """
+    quotient._require_grading()
     top = quotient.top_degree
     if quotient.dimension(top) != 1:
         raise RingError(
@@ -182,6 +204,7 @@ def multiplication_matrix(
     target-degree basis, both in their stored order.  A target degree past
     the top yields a matrix with no rows.
     """
+    quotient._require_grading()
     if multiplier.is_zero or not multiplier.is_homogeneous:
         raise DegreeError("multiplier must be homogeneous and nonzero")
     if not 0 <= from_degree <= quotient.top_degree:
@@ -205,6 +228,7 @@ def pairing_matrix(
     Entry (i, j) integrates the product of the i-th degree-d standard
     monomial with the j-th standard monomial of degree top - d.
     """
+    quotient._require_grading()
     ctx = quotient.context
     rows = quotient.standard_monomials[degree]
     cols = quotient.standard_monomials[quotient.top_degree - degree]

@@ -7,7 +7,7 @@ the odd side (the fourth boundary class vanishes there).  This module stores
 those presentations as data, together with everything needed to check the
 numeric claims made about them:
 
-* the relation ideals, with generators listed in their published order;
+* the relation ideals as ring files, generators in their published order;
 * the degree-2 Hodge class and the total boundary class of each component;
 * the boundary calculus of the underlying space of stable curves, as formal
   polynomials in the two divisor symbols ``dirr`` and ``d1`` (the Hodge
@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .groebner import GroebnerBasis, Ideal, buchberger
-from .parser import parse_polynomial
+from .parser import RingFile, parse_polynomial, parse_ring_file
 from .poly import Exponents, Polynomial, RingContext, RingError
 from .quotient import (
     PointNormalization,
@@ -47,22 +47,26 @@ ODD = "odd"
 ALL = "all"
 COMPONENTS = (EVEN, ODD)
 
-# ring degree k corresponds to cohomological degree 2k; each boundary class
-# has ring degree 1
+# Each component's presentation is a ring file with its generators in their
+# published order.  Ring degree k corresponds to cohomological degree 2k;
+# each boundary class has ring degree 1.
 _EVEN_DATA = {
-    "variables": ("a0", "a1", "b0", "b1"),
+    "ring": """
+        ring builtin-even
+        vars a0 a1 b0 b1
+        ideal
+          a1*b1
+          b0*b1
+          a0*a1 - b0*a1
+          a0*a1 + 8*a1^2
+          a0*b1 + 24*b1^2
+          4*b0^2 + 8*a1*b0 - 3*a0*b0
+          a0^2*a1
+          a0^2*b0
+          3*a0^3 + 22*a0^2*b1
+        end
+    """,
     "display": ("α₀⁺", "α₁⁺", "β₀⁺", "β₁⁺"),
-    "generators": (
-        "a1*b1",
-        "b0*b1",
-        "a0*a1 - b0*a1",
-        "a0*a1 + 8*a1^2",
-        "a0*b1 + 24*b1^2",
-        "4*b0^2 + 8*a1*b0 - 3*a0*b0",
-        "a0^2*a1",
-        "a0^2*b0",
-        "3*a0^3 + 22*a0^2*b1",
-    ),
     "witness": "a0^2*b1",
     "witness_value": Fraction(5, 4),
     "hilbert": (1, 4, 4, 1),
@@ -76,15 +80,18 @@ _EVEN_DATA = {
 }
 
 _ODD_DATA = {
-    "variables": ("a0", "a1", "b0"),
+    "ring": """
+        ring builtin-odd
+        vars a0 a1 b0
+        ideal
+          3*b0^2 + 6*a1*b0 - a0*b0
+          2*a1*b0 - a1*a0
+          12*a1^2 + a1*a0
+          a0^2*b0
+          3*a0^3 + 32*a1*a0^2
+        end
+    """,
     "display": ("α₀⁻", "α₁⁻", "β₀⁻"),
-    "generators": (
-        "3*b0^2 + 6*a1*b0 - a0*b0",
-        "2*a1*b0 - a1*a0",
-        "12*a1^2 + a1*a0",
-        "a0^2*b0",
-        "3*a0^3 + 32*a1*a0^2",
-    ),
     "witness": "a1*a0^2",
     "witness_value": Fraction(3, 16),
     "hilbert": (1, 3, 3, 1),
@@ -129,16 +136,23 @@ class SpinRingPresentation:
     """
 
     component: str
-    context: RingContext
-    generators: tuple[Polynomial, ...]
+    ring_file: RingFile
     point_normalization: PointNormalization
     expected_hilbert: tuple[int, ...]
     covering_degree: int
     display_names: tuple[str, ...]
 
     @property
+    def context(self) -> RingContext:
+        return self.ring_file.context
+
+    @property
     def ideal(self) -> Ideal:
-        return Ideal(self.context, self.generators)
+        return self.ring_file.ideal
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        return self.ideal.generators
 
     def describe(self) -> str:
         names = ", ".join(self.display_names)
@@ -147,15 +161,13 @@ class SpinRingPresentation:
 
 @lru_cache(maxsize=None)
 def builtin(component: str) -> SpinRingPresentation:
-    """The hard-coded presentation of one component's cohomology ring."""
+    """The built-in presentation of one component's cohomology ring."""
     data = _DATA[_require_component(component)]
-    context = RingContext(variables=data["variables"])
-    generators = tuple(parse_polynomial(text, context) for text in data["generators"])
-    witness = parse_polynomial(data["witness"], context)
+    ring_file = parse_ring_file(data["ring"])
+    witness = parse_polynomial(data["witness"], ring_file.context)
     return SpinRingPresentation(
         component=component,
-        context=context,
-        generators=generators,
+        ring_file=ring_file,
         point_normalization=PointNormalization(witness=witness, value=data["witness_value"]),
         expected_hilbert=data["hilbert"],
         covering_degree=data["covering_degree"],
@@ -163,8 +175,8 @@ def builtin(component: str) -> SpinRingPresentation:
     )
 
 
-@lru_cache(maxsize=None)
 def groebner_basis(component: str) -> GroebnerBasis:
+    # the presentation's ideal keeps its basis, so this completes once per builtin()
     return buchberger(builtin(component).ideal)
 
 

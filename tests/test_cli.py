@@ -4,14 +4,21 @@ Every test drives ``main(argv)`` directly and reads captured stdout/stderr,
 so the suite exercises exactly what a shell user sees.
 """
 
+import io
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import spinring
+from spinring import spindomain
 from spinring.cli import main
 from spinring.parser import MAX_NESTING
 from spinring.quotient import MAX_DIMENSION
@@ -276,6 +283,33 @@ def test_nesting_limit_exit_code(capsys, depth):
         assert err == f"spinring: expression nested too deeply at column {MAX_NESTING + 1}\n"
 
 
+def test_ring_file_superscript_exponent(capsys, tmp_path):
+    path = tmp_path / "sup.ring"
+    path.write_text("ring sup\nvars x\nideal\n  x^²\nend\n", encoding="utf-8")
+    code, out, err = run(capsys, "gb", "--ring", str(path))
+    assert (code, out) == (2, "")
+    assert err == "spinring: unexpected character '²' at line 4, column 5\n"
+
+
+@example("a0^²")
+@example("²*a0")
+@example("a0 + ¹/2")
+@settings(deadline=None)  # each example is a whole command; its time is not what is tested
+@given(st.text())
+def test_nf_never_crashes(text):
+    # a long run of digits is a large exponent, whose normal form takes unbounded work
+    assume(not re.search(r"\d{4}", text))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["nf", "--builtin", "odd", "--expr", text])
+        except SystemExit as exc:  # usage errors exit through argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+
+
 def test_non_artinian_exit_code(capsys, tmp_path):
     path = tmp_path / "curve.ring"
     path.write_text("ring curve\nvars x y\nideal\n  x*y\nend\n")
@@ -335,6 +369,26 @@ def test_bad_point_spec(capsys, tmp_path):
     code, _, err = run(capsys, "integrate", "--ring", str(path), "--expr", "x", "--point", "x")
     assert code == 2
     assert "WITNESS=VALUE" in err
+
+
+def test_bad_point_value(capsys, tmp_path):
+    path = tmp_path / "art.ring"
+    path.write_text("ring art\nvars x\nideal\n  x^2\nend\n")
+    code, out, err = run(capsys, "integrate", "--ring", str(path), "--expr", "x", "--point", "x=1/0")
+    assert (code, out) == (2, "")
+    assert err == "spinring: bad point value '1/0'\n"
+
+
+def test_failing_verify_reports_the_mismatch(capsys, monkeypatch):
+    monkeypatch.setitem(spindomain._EVEN_DATA, "a0_cubed", Fraction(-1, 6))
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert failed[0].startswith("[FAIL] even a0_cubed_integral ")
+    assert failed[0].endswith("  -55/6  (expected -1/6)")
+    assert lines[-1] == "result: FAIL (1 of 44 checks failed)"
 
 
 def test_import_does_no_algebra():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinring import (
@@ -116,9 +116,41 @@ def test_trailing_garbage():
         parse_polynomial("a0 / b0", EVEN)
 
 
+def test_missing_denominator():
+    with pytest.raises(ParseError, match="expected a denominator, got a0 at column 3"):
+        parse_polynomial("1/a0", EVEN)
+
+
+def test_missing_term():
+    with pytest.raises(ParseError, match="expected a term, got end of input at column 5"):
+        parse_polynomial("a0 +", EVEN)
+    with pytest.raises(ParseError, match=r"expected a term, got \) at line 2, column 3"):
+        parse_polynomial("a0 *\n  )", EVEN)
+
+
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_polynomial("a0 % b0", EVEN)
+
+
+def test_non_ascii_digits():
+    # numbers are runs of decimal digits, exactly what int() reads
+    assert parse_polynomial("a0^\u0663", EVEN) == EVEN.variable("a0") ** 3
+    with pytest.raises(ParseError, match="unexpected character '²' at column 4"):
+        parse_polynomial("a0^²", EVEN)
+    with pytest.raises(ParseError, match="unexpected character '½' at column 2"):
+        parse_polynomial("3½*a0", EVEN)
+
+
+@example("a0^²")
+@example("²*a0")
+@example("a0 + ¹/2")
+@given(st.text())
+def test_parse_polynomial_is_total(text):
+    try:
+        parse_polynomial(text, EVEN)
+    except ParseError:
+        pass
 
 
 def test_nesting_limit():
@@ -202,6 +234,12 @@ def test_ring_file_render_round_trip():
         ("ring r\nideal\nend\n", "expected 'vars"),
         ("ring r\nvars x x\nideal\n  x\nend\n", "duplicate variable"),
         ("ring r\nvars x\nweights 1\nweights 1\nideal\nend\n", "duplicate weights"),
+        ("ring r\nvars x\norder lex\norder lex\nideal\nend\n", "line 4: duplicate order line"),
+        ("ring r\nvars x\norder\nideal\nend\n", "line 3: expected 'order <tag>'"),
+        ("ring r\nvars x\nideal x\nend\n", "line 3: 'ideal' takes no arguments"),
+        ("ring r\nvars x\nweights a\nideal\nend\n", "line 3: weights must be integers"),
+        ("ring r\n\n", "unexpected end of file: missing 'vars' line"),
+        ("ring r\nvars x\nweights 1\n", "unexpected end of file: missing 'ideal' block"),
         ("ring r\nvars x\nweights 1 2\nideal\n  x\nend\n", "weights do not match"),
         ("ring r\nvars x\norder deglex\nideal\n  x\nend\n", "unknown monomial order"),
         ("ring r\nvars x\nbogus\nideal\nend\n", "expected 'weights', 'order', or 'ideal'"),
@@ -213,6 +251,14 @@ def test_ring_file_render_round_trip():
 def test_ring_file_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_ring_file(text)
+
+
+def test_ring_file_blank_and_indented_lines():
+    text = "\n  ring r\n\n\tvars x y\n   order lex\n\nideal\n\n      x^2\n  \n y - x\n   end  \n\n"
+    rf = parse_ring_file(text)
+    assert rf.name == "r"
+    assert rf.context == RingContext(("x", "y"), order="lex")
+    assert [str(g) for g in rf.ideal.generators] == ["x^2", "-x + y"]
 
 
 def test_ring_file_generator_error_carries_line():

@@ -1,5 +1,7 @@
 """Polynomial arithmetic and monomial order tests."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,19 @@ def test_hash_consistent_with_eq(f, g):
     if f == g:
         assert hash(f) == hash(g)
     assert len({f, g, f + XY.zero()}) <= 2
+
+
+def test_copy_and_pickle():
+    ctx = RingContext(("x", "y"), weights=(1, 3), order="lex")
+    f = Fraction(-3, 7) * ctx.variable("x") ** 3 + ctx.variable("y") - 2
+    f.leading_term()  # fill the caches, which a copy must not depend on
+    hash(f)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f
+        assert hash(g) == hash(f)
+        assert g.leading_term() == f.leading_term()
+        with pytest.raises(AttributeError):
+            g.context = XY
 
 
 def test_equality_against_scalars():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,27 @@ def test_weighted_hilbert_has_explicit_gap():
     ring = build_quotient(buchberger(Ideal(ctx, (x**2, y**2))))
     assert hilbert_function(ring) == [1, 1, 0, 1, 1]
     assert ring.standard_monomials[2] == ()
+
+
+def test_graded_questions_refuse_ungraded_quotient():
+    # x is invertible in the toy ring x^2 = y, x*y = 1, so it has no grading
+    toy = RingContext(("x", "y"))
+    ideal = Ideal(toy, (parse_polynomial("x^2 - y", toy), parse_polynomial("x*y - 1", toy)))
+    ring = build_quotient(buchberger(ideal))
+    assert str(ring.reduce(parse_polynomial("x^5", toy))) == "y"
+    x = toy.variable("x")
+    norm = PointNormalization(witness=x, value=Fraction(1))
+    message = "the quotient is not graded: basis element x^2 - y is not weighted-homogeneous"
+    for question in (
+        lambda: hilbert_function(ring),
+        lambda: ring.coordinates(x, 1),
+        lambda: integrate(ring, x, norm),
+        lambda: multiplication_matrix(ring, x, 1),
+        lambda: pairing_matrix(ring, norm, 0),
+    ):
+        with pytest.raises(quotient.NotGradedError, match=re.escape(message)):
+            question()
+    assert issubclass(quotient.NotGradedError, RingError)
 
 
 def test_non_artinian_detection_names_variable():
