@@ -9,7 +9,7 @@ a versioned structured schema.
 Exit codes: 0 success or pass, 1 verification failure or negative
 membership, 2 parse or usage error, 3 engine error (non-Artinian quotient,
 a quotient above the dimension limit, a graded command on a quotient with no
-grading, degree mismatch, and friends).
+grading, degree mismatch, a number too long to print, and friends).
 """
 
 from __future__ import annotations
@@ -77,17 +77,25 @@ def _point_normalization(source: _Source, spec_text: str | None) -> PointNormali
     return PointNormalization(witness=source.parse(witness_text), value=value)
 
 
+def _text(value) -> str:
+    # str() of an int past sys.get_int_max_str_digits() raises ValueError
+    try:
+        return str(value)
+    except ValueError:
+        raise RingError("number too long to print") from None
+
+
 # Each handler returns (JSON fields, text output, exit code); _run adds the
 # schema version, and the ring name for the commands that take a source.
 
 
 def _gb(args, source):
-    elements = [str(g) for g in source.basis]
+    elements = [_text(g) for g in source.basis]
     return {"order": source.context.order, "elements": elements}, "\n".join(elements), 0
 
 
 def _nf(args, source):
-    reduced = str(source.basis.normal_form(source.parse(args.expr)))
+    reduced = _text(source.basis.normal_form(source.parse(args.expr)))
     return {"expr": args.expr, "normal_form": reduced}, reduced, 0
 
 
@@ -103,14 +111,14 @@ def _hilbert(args, source):
 
 def _integrate(args, source):
     normalization = _point_normalization(source, args.point)
-    value = str(integrate(build_quotient(source.basis), source.parse(args.expr), normalization))
+    value = _text(integrate(build_quotient(source.basis), source.parse(args.expr), normalization))
     return {"expr": args.expr, "integral": value}, value, 0
 
 
 def _lefschetz(args, source):
     matrix = multiplication_matrix(build_quotient(source.basis), source.parse(args.multiplier), args.from_degree)
     matrix_rank = rank(matrix)
-    cells = [[str(entry) for entry in row] for row in matrix]
+    cells = [[_text(entry) for entry in row] for row in matrix]
     fields = {
         "multiplier": args.multiplier,
         "from_degree": args.from_degree,

@@ -208,20 +208,21 @@ def _complete(ideal: Ideal) -> GroebnerBasis:
 def _reduce_basis(ctx: RingContext, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
     # minimal: drop any element whose leading monomial another one divides;
     # ascending scan keeps the divisor and drops the multiple
-    ordered = sorted(basis, key=lambda g: ctx.sort_key(g.leading_monomial()))
+    key = ctx.descending_key()
+    ordered = sorted(basis, key=lambda g: key(g.leading_monomial()), reverse=True)
     minimal: list[Polynomial] = []
     for g in ordered:
         lm = g.leading_monomial()
         if not any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
-    # reduced: every element fully reduced against the others, then monic
+    # reduced: every element fully reduced against the others, then monic;
+    # reduction keeps each leading term, so reversing gives descending order
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         h = normal_form(g, others) if others else g
         reduced.append(h.monic())
-    reduced.sort(key=lambda g: ctx.sort_key(g.leading_monomial()), reverse=True)
-    return tuple(reduced)
+    return tuple(reversed(reduced))
 
 
 def is_member(f: Polynomial, ideal: Ideal) -> bool:

@@ -72,7 +72,7 @@ class RingContext:
             object.__setattr__(self, "weights", (1,) * len(self.variables))
         if len(self.weights) != len(self.variables):
             raise RingError("weights do not match variables")
-        if any(w < 1 for w in self.weights):
+        if any(not isinstance(w, int) or w < 1 for w in self.weights):
             raise RingError("weights must be positive integers")
         if self.order not in MONOMIAL_ORDERS:
             raise RingError(f"unknown monomial order {self.order!r}")
@@ -90,24 +90,19 @@ class RingContext:
     def degree(self, exps: Exponents) -> int:
         return sum(map(mul, self.weights, exps))
 
-    def sort_key(self, exps: Exponents):
-        """Key ascending in the monomial order; the leading monomial is the max.
-
-        grevlex: higher weighted degree wins; on ties the monomial whose
-        trailing variables carry less weight wins, encoded by negating the
-        reversed exponent tuple.
-        """
-        if self.order == LEX:
-            return exps
-        return (sum(map(mul, self.weights, exps)), tuple([-e for e in reversed(exps)]))
+    def sort_key(self, exps: Exponents) -> tuple:
+        """Key ascending in the monomial order; the leading monomial is the max."""
+        return tuple([-k for k in self.descending_key()(exps)])
 
     def descending_key(self) -> Callable[[Exponents], tuple]:
-        """A key function descending in the monomial order, so a min-heap pops
-        the largest monomial first; fetch it once per loop, not per call."""
+        """The one definition of the orders: a key descending in the order, so
+        ``min`` and a min-heap find the leading monomial first.  grevlex: higher
+        weighted degree wins, then the monomial whose trailing variables carry
+        less weight.  Fetch the key once per loop, not per call."""
         if self.order == LEX:
             return lambda exps: tuple([-e for e in exps])
         weights = self.weights
-        return lambda exps: (-sum(map(mul, weights, exps)), exps[::-1])
+        return lambda exps: (-sum(map(mul, weights, exps)),) + exps[::-1]
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -177,8 +172,7 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending monomial order (the canonical ordering)."""
-        key = self.context.sort_key
-        for exps in sorted(self._terms, key=key, reverse=True):
+        for exps in sorted(self._terms, key=self.context.descending_key()):
             yield exps, self._terms[exps]
 
     def monomials(self) -> tuple[Exponents, ...]:
@@ -188,7 +182,7 @@ class Polynomial:
         if self._lead is None:
             if not self._terms:
                 raise RingError("zero polynomial has no leading term")
-            exps = max(self._terms, key=self.context.sort_key)
+            exps = min(self._terms, key=self.context.descending_key())
             object.__setattr__(self, "_lead", (exps, self._terms[exps]))
         return self._lead
 

@@ -63,16 +63,20 @@ class QuotientRing:
 
     ``standard_monomials[d]`` lists the degree-d monomial basis of the
     quotient in descending monomial order; degrees above ``top_degree`` are
-    all zero.
+    all zero.  Graded questions read a piece through ``_piece``, which checks
+    that the grading and the piece exist.
     """
 
     basis: GroebnerBasis
     standard_monomials: tuple[tuple[Exponents, ...], ...]
-    top_degree: int
 
     @property
     def context(self):
         return self.basis.context
+
+    @property
+    def top_degree(self) -> int:
+        return len(self.standard_monomials) - 1
 
     def reduce(self, f: Polynomial) -> Polynomial:
         if f.context != self.context:
@@ -87,12 +91,15 @@ class QuotientRing:
     def _inhomogeneous(self) -> Polynomial | None:
         return next((g for g in self.basis if not g.is_homogeneous), None)
 
-    def _require_grading(self) -> None:
+    def _piece(self, degree: int) -> tuple[Exponents, ...]:
         # graded quantities exist only when the reduced basis is weighted-homogeneous
         if self._inhomogeneous is not None:
             raise NotGradedError(
                 f"the quotient is not graded: basis element {self._inhomogeneous} is not weighted-homogeneous"
             )
+        if not 0 <= degree <= self.top_degree:
+            raise DegreeError(f"no graded piece in degree {degree}")
+        return self.standard_monomials[degree]
 
     def dimension(self, degree: int) -> int:
         if 0 <= degree <= self.top_degree:
@@ -101,14 +108,14 @@ class QuotientRing:
 
     def coordinates(self, f: Polynomial, degree: int) -> list[Fraction]:
         """Coordinates of f's normal form in the degree-d standard basis."""
-        self._require_grading()
+        piece = self._piece(degree)
         reduced = self.reduce(f)
         stray = [d for d in reduced.degree_support() if d != degree]
         if stray:
             raise DegreeError(
                 f"class has components in degrees {stray}, expected pure degree {degree}"
             )
-        return [reduced.coefficient(m) for m in self.standard_monomials[degree]]
+        return [reduced.coefficient(m) for m in piece]
 
 
 def build_quotient(basis: GroebnerBasis) -> QuotientRing:
@@ -149,21 +156,17 @@ def build_quotient(basis: GroebnerBasis) -> QuotientRing:
     by_degree: dict[int, list[Exponents]] = {}
     for exps, _ in walk:
         by_degree.setdefault(ctx.degree(exps), []).append(exps)
-    if not by_degree:
-        # the unit ideal leaves the zero ring behind
-        return QuotientRing(basis=basis, standard_monomials=((),), top_degree=0)
-    top = max(by_degree)
+    # the unit ideal leaves the zero ring behind: one empty piece in degree 0
     layers = tuple(
         tuple(sorted(by_degree.get(d, ()), key=ctx.descending_key()))
-        for d in range(top + 1)
+        for d in range(max(by_degree, default=0) + 1)
     )
-    return QuotientRing(basis=basis, standard_monomials=layers, top_degree=top)
+    return QuotientRing(basis=basis, standard_monomials=layers)
 
 
 def hilbert_function(quotient: QuotientRing) -> list[int]:
     """Dimensions of the graded pieces from degree 0 through the top degree."""
-    quotient._require_grading()
-    return [len(layer) for layer in quotient.standard_monomials]
+    return [len(quotient._piece(d)) for d in range(quotient.top_degree + 1)]
 
 
 def integrate(quotient: QuotientRing, f: Polynomial, normalization: PointNormalization) -> Fraction:
@@ -173,14 +176,12 @@ def integrate(quotient: QuotientRing, f: Polynomial, normalization: PointNormali
     anything whose normal form has a component outside the top degree is an
     error rather than silently truncated.
     """
-    quotient._require_grading()
     top = quotient.top_degree
-    if quotient.dimension(top) != 1:
-        raise RingError(
-            f"integration needs a one-dimensional top piece, got dimension {quotient.dimension(top)}"
-        )
+    piece = quotient._piece(top)
+    if len(piece) != 1:
+        raise RingError(f"integration needs a one-dimensional top piece, got dimension {len(piece)}")
     witness = quotient.reduce(normalization.witness)
-    anchor = quotient.standard_monomials[top][0]
+    anchor = piece[0]
     scale = witness.coefficient(anchor)
     if witness.is_zero or not scale or witness.degree_support() != (top,):
         raise RingError("degenerate point normalization: witness does not span the top degree")
@@ -204,20 +205,15 @@ def multiplication_matrix(
     target-degree basis, both in their stored order.  A target degree past
     the top yields a matrix with no rows.
     """
-    quotient._require_grading()
+    source = quotient._piece(from_degree)
     if multiplier.is_zero or not multiplier.is_homogeneous:
         raise DegreeError("multiplier must be homogeneous and nonzero")
-    if not 0 <= from_degree <= quotient.top_degree:
-        raise DegreeError(f"no graded piece in degree {from_degree}")
     target = from_degree + multiplier.weighted_degree()
-    columns = [
-        quotient.coordinates(multiplier * quotient.context.monomial(1, m), target)
-        if target <= quotient.top_degree
-        else []
-        for m in quotient.standard_monomials[from_degree]
-    ]
-    rows = quotient.dimension(target) if target <= quotient.top_degree else 0
-    return [[col[r] for col in columns] for r in range(rows)]
+    if target > quotient.top_degree:
+        return []
+    # a graded ideal keeps the image of each column in the target degree
+    images = [quotient.reduce(multiplier * quotient.context.monomial(1, m)) for m in source]
+    return [[image.coefficient(t) for image in images] for t in quotient._piece(target)]
 
 
 def pairing_matrix(
@@ -228,10 +224,9 @@ def pairing_matrix(
     Entry (i, j) integrates the product of the i-th degree-d standard
     monomial with the j-th standard monomial of degree top - d.
     """
-    quotient._require_grading()
     ctx = quotient.context
-    rows = quotient.standard_monomials[degree]
-    cols = quotient.standard_monomials[quotient.top_degree - degree]
+    rows = quotient._piece(degree)
+    cols = quotient._piece(quotient.top_degree - degree)
     return [
         [
             integrate(quotient, ctx.monomial(1, r) * ctx.monomial(1, c), normalization)

@@ -355,6 +355,27 @@ def test_nf_of_large_power(capsys, tmp_path):
     assert (code, out) == (0, "1\n")
 
 
+def test_number_too_long_to_print(capsys):
+    # each literal is within int()'s 4300-digit limit; the products are not
+    n = "7" * 3000
+    for fmt in ("text", "json"):
+        result = run(capsys, "nf", "--builtin", "odd", "--expr", f"1*({n})*({n})", "--format", fmt)
+        assert result == (3, "", "spinring: number too long to print\n")
+    result = run(capsys, "integrate", "--builtin", "even", "--expr", f"({n})*({n})*a0^3")
+    assert result == (3, "", "spinring: number too long to print\n")
+
+
+def test_expression_starting_with_minus(capsys):
+    assert run(capsys, "nf", "--builtin", "even", "--expr=-a0+b0") == (0, "-a0 + b0\n", "")
+    # spaced, argparse takes the value for an option
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--builtin", "even", "--expr", "-a0+b0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.endswith("argument --expr: expected one argument\n")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gb"])  # missing required source

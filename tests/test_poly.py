@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,11 @@ def test_context_validation():
         RingContext(("2x",))
 
 
+def test_weights_must_be_integers():
+    with pytest.raises(RingError, match="weights must be positive integers"):
+        RingContext(("x", "y"), weights=(1.5, 1))
+
+
 def test_context_mixing_raises():
     with pytest.raises(ContextMismatch):
         XY.variable("x") + XYZ.variable("x")
@@ -86,6 +92,23 @@ def test_grevlex_is_graded():
 def test_lex_ignores_degree():
     lex = RingContext(("x", "y"), order="lex")
     assert lex.sort_key((1, 0)) > lex.sort_key((0, 3))
+
+
+def test_sort_key_agrees_with_descending_key():
+    # both keys order every monomial set the same way, under every order
+    rng = random.Random(4242)
+    for nvars in range(1, 5):
+        names = tuple("xyzw"[:nvars])
+        weights = tuple(rng.randint(1, 4) for _ in names)
+        for ctx in (RingContext(names), RingContext(names, order="lex"), RingContext(names, weights)):
+            descending = ctx.descending_key()
+            for _ in range(25):
+                monomials = list({tuple(rng.randint(0, 4) for _ in names) for _ in range(rng.randint(1, 12))})
+                ascending = sorted(monomials, key=ctx.sort_key)
+                assert ascending == sorted(monomials, key=descending)[::-1]
+                f = Polynomial(ctx, dict.fromkeys(monomials, 1))
+                assert f.monomials() == tuple(reversed(ascending))
+                assert f.leading_monomial() == max(monomials, key=ctx.sort_key)
 
 
 def test_leading_term_grevlex():

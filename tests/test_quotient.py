@@ -38,6 +38,21 @@ def monomial_quotient(ctx: RingContext, exponent_sets) -> "QuotientRing":
     return build_quotient(buchberger(Ideal(ctx, gens)))
 
 
+def weighted_ring():
+    # weights 2 and 3: nothing has degree 1 or 6, and x^2*y spans degree 7
+    return monomial_quotient(RingContext(("x", "y"), weights=(2, 3)), [(3, 0), (0, 2)])
+
+
+def unit_ring():
+    ctx = RingContext(("x",))
+    return build_quotient(buchberger(Ideal(ctx, (ctx.one(),))))
+
+
+def top_normalization(ring):
+    witness = ring.context.monomial(1, ring.standard_monomials[ring.top_degree][0])
+    return PointNormalization(witness=witness, value=Fraction(3, 2))
+
+
 # -- graded structure of the builtin rings ------------------------------------
 
 
@@ -303,6 +318,47 @@ def test_pairing_against_top_is_perfect():
         norm = builtin(component).point_normalization
         assert rank(pairing_matrix(ring, norm, 0)) == 1
         assert rank(pairing_matrix(ring, norm, 3)) == 1
+
+
+def test_pairing_entries_are_integrals():
+    # entry (i, j) integrates the product of the monomials it pairs
+    box = monomial_quotient(RingContext(("x", "y", "z")), [(12, 0, 0), (0, 12, 0), (0, 0, 12)])
+    weighted = weighted_ring()
+    cases = [(quotient_ring(c), builtin(c).point_normalization, range(4)) for c in ("even", "odd")]
+    cases.append((box, top_normalization(box), (0, 1, 2, 16, 31, 32, 33)))
+    cases.append((weighted, top_normalization(weighted), range(weighted.top_degree + 1)))
+    for ring, norm, degrees in cases:
+        ctx = ring.context
+        for d in degrees:
+            rows, cols = ring.standard_monomials[d], ring.standard_monomials[ring.top_degree - d]
+            expected = [
+                [integrate(ring, ctx.monomial(1, r) * ctx.monomial(1, c), norm) for c in cols] for r in rows
+            ]
+            assert pairing_matrix(ring, norm, d) == expected
+
+
+def test_empty_piece_shapes():
+    weighted = weighted_ring()
+    assert weighted.standard_monomials[1] == ()
+    # no source columns, one target row (y)
+    assert multiplication_matrix(weighted, weighted.context.variable("x"), 1) == [[]]
+    unit = unit_ring()
+    x = unit.context.variable("x")
+    assert pairing_matrix(unit, PointNormalization(witness=x, value=Fraction(1)), 0) == []
+    assert hilbert_function(unit) == [0]
+
+
+def test_degrees_without_a_piece_raise():
+    unit = unit_ring()
+    cases = [(quotient_ring(c), builtin(c).point_normalization) for c in ("even", "odd")]
+    cases.append((unit, PointNormalization(witness=unit.context.variable("x"), value=Fraction(1))))
+    for ring, norm in cases:
+        for d in (-1, ring.top_degree + 1):
+            message = f"^no graded piece in degree {d}$"
+            with pytest.raises(DegreeError, match=message):
+                ring.coordinates(ring.context.zero(), d)
+            with pytest.raises(DegreeError, match=message):
+                pairing_matrix(ring, norm, d)
 
 
 # -- exact rank ----------------------------------------------------------------
