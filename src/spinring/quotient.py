@@ -13,7 +13,8 @@ while normal forms work on every quotient.
 Integration against a point normalization turns top-degree classes into
 rational numbers: fix one witness monomial with a known value, then any
 top-degree class integrates to its normal-form coordinate relative to the
-witness.
+witness.  Pairings are read off multiplication into the one-dimensional top
+piece.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class QuotientRing:
             raise ContextMismatch("class does not live in this quotient's ring")
         return self.basis.normal_form(f)
 
-    def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Product in the quotient, expressed in standard monomials."""
-        return self.reduce(f * g)
-
     @cached_property
     def _inhomogeneous(self) -> Polynomial | None:
         return next((g for g in self.basis if not g.is_homogeneous), None)
@@ -102,9 +99,10 @@ class QuotientRing:
         return self.standard_monomials[degree]
 
     def dimension(self, degree: int) -> int:
-        if 0 <= degree <= self.top_degree:
-            return len(self.standard_monomials[degree])
-        return 0
+        try:
+            return len(self._piece(degree))
+        except DegreeError:
+            return 0
 
     def coordinates(self, f: Polynomial, degree: int) -> list[Fraction]:
         """Coordinates of f's normal form in the degree-d standard basis."""
@@ -156,10 +154,13 @@ def build_quotient(basis: GroebnerBasis) -> QuotientRing:
     by_degree: dict[int, list[Exponents]] = {}
     for exps, _ in walk:
         by_degree.setdefault(ctx.degree(exps), []).append(exps)
-    # the unit ideal leaves the zero ring behind: one empty piece in degree 0
+    # one piece is stored per degree, so a large weight costs as much as a
+    # large dimension; the unit ideal leaves one empty piece in degree 0
+    top = max(by_degree, default=0)
+    if top > MAX_DIMENSION:
+        raise DimensionLimitError(f"quotient top degree exceeds the limit of {MAX_DIMENSION}")
     layers = tuple(
-        tuple(sorted(by_degree.get(d, ()), key=ctx.descending_key()))
-        for d in range(max(by_degree, default=0) + 1)
+        tuple(sorted(by_degree.get(d, ()), key=ctx.descending_key())) for d in range(top + 1)
     )
     return QuotientRing(basis=basis, standard_monomials=layers)
 
@@ -222,16 +223,18 @@ def pairing_matrix(
     """Multiplication pairing of degree d against the complementary degree.
 
     Entry (i, j) integrates the product of the i-th degree-d standard
-    monomial with the j-th standard monomial of degree top - d.
+    monomial with the j-th standard monomial of degree top - d: row i is the
+    one row of multiplication by the i-th monomial into the top piece, times
+    the integral of the top piece's monomial.
     """
     ctx = quotient.context
+    top = quotient.top_degree
     rows = quotient._piece(degree)
-    cols = quotient._piece(quotient.top_degree - degree)
+    if not rows:
+        return []
+    scale = integrate(quotient, ctx.monomial(1, quotient._piece(top)[0]), normalization)
     return [
-        [
-            integrate(quotient, ctx.monomial(1, r) * ctx.monomial(1, c), normalization)
-            for c in cols
-        ]
+        [x * scale for x in multiplication_matrix(quotient, ctx.monomial(1, r), top - degree)[0]]
         for r in rows
     ]
 

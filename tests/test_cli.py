@@ -320,11 +320,16 @@ def test_non_artinian_exit_code(capsys, tmp_path):
 
 
 def test_dimension_limit_exit_code(capsys, tmp_path):
-    path = tmp_path / "big.ring"
-    path.write_text("ring big\nvars x\nideal\n  x^99999999999\nend\n")
-    code, out, err = run(capsys, "hilbert", "--ring", str(path))
-    assert (code, out) == (3, "")
-    assert err == f"spinring: quotient dimension exceeds the limit of {MAX_DIMENSION}\n"
+    # the second ring has dimension 4 but one piece per degree up to 2000001
+    for ring, what in [
+        ("vars x\nideal\n  x^99999999999", "dimension"),
+        ("vars x y\nweights 2000000 1\nideal\n  x^2\n  y^2", "top degree"),
+    ]:
+        path = tmp_path / "big.ring"
+        path.write_text(f"ring big\n{ring}\nend\n")
+        code, out, err = run(capsys, "hilbert", "--ring", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"spinring: quotient {what} exceeds the limit of {MAX_DIMENSION}\n"
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from spinring import (
     rank,
 )
 
-from spinring import quotient
+from spinring import groebner, quotient
 from spinring.quotient import DimensionLimitError
 
 from oracles import combinatorial_hilbert, plain_rank, random_polynomial
@@ -79,7 +79,7 @@ def test_reduce_and_multiply():
     ring = quotient_ring("odd")
     a0 = ring.context.variable("a0")
     a1 = ring.context.variable("a1")
-    square = ring.multiply(a1, a1)
+    square = ring.reduce(a1 * a1)
     assert square == ring.reduce(Fraction(-1, 12) * a0 * a1)
     assert str(square) == "-1/6*a1*b0"
 
@@ -156,6 +156,9 @@ def test_dimension_limit(monkeypatch):
         monomial_quotient(ctx, box)  # found by the walk
     with pytest.raises(DimensionLimitError):
         monomial_quotient(ctx, [(27, 0, 0), (0, 1, 0), (0, 0, 1)])  # found from a pure power
+    heavy = RingContext(("x", "y"), weights=(2_000_000, 1))
+    with pytest.raises(DimensionLimitError, match="top degree exceeds the limit of 26"):
+        monomial_quotient(heavy, [(2, 0), (0, 2)])  # dimension 4, one piece per degree
     monkeypatch.setattr(quotient, "MAX_DIMENSION", 27)
     assert sum(hilbert_function(monomial_quotient(ctx, box))) == 27
 
@@ -179,6 +182,7 @@ def test_graded_questions_refuse_ungraded_quotient():
     message = "the quotient is not graded: basis element x^2 - y is not weighted-homogeneous"
     for question in (
         lambda: hilbert_function(ring),
+        lambda: ring.dimension(1),
         lambda: ring.coordinates(x, 1),
         lambda: integrate(ring, x, norm),
         lambda: multiplication_matrix(ring, x, 1),
@@ -335,6 +339,23 @@ def test_pairing_entries_are_integrals():
                 [integrate(ring, ctx.monomial(1, r) * ctx.monomial(1, c), norm) for c in cols] for r in rows
             ]
             assert pairing_matrix(ring, norm, d) == expected
+
+
+def test_pairing_reads_each_entry_off_one_normal_form(monkeypatch):
+    box = monomial_quotient(RingContext(("x", "y", "z")), [(12, 0, 0), (0, 12, 0), (0, 0, 12)])
+    norm = top_normalization(box)
+    calls = 0
+    reduce = groebner._reduce
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    matrix = pairing_matrix(box, norm, 2)
+    assert (len(matrix), len(matrix[0])) == (6, 6)
+    assert calls <= 6 * 6 + 2  # the witness and the top monomial once each
 
 
 def test_empty_piece_shapes():
