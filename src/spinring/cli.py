@@ -9,7 +9,8 @@ a versioned structured schema.
 Exit codes: 0 success or pass, 1 verification failure or negative
 membership, 2 parse or usage error, 3 engine error (non-Artinian quotient,
 a quotient above the dimension limit, a graded command on a quotient with no
-grading, degree mismatch, a number too long to print, and friends).
+grading, degree mismatch, a number too long to print, a division past the
+reduction step limit, and friends).
 """
 
 from __future__ import annotations

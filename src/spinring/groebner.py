@@ -29,6 +29,11 @@ from .poly import (
     monomial_mul,
 )
 
+# Most reduction steps one division may take.  x^N in the toy ring of the
+# README takes 5N/6 steps; no division in a Buchberger run on katsura-5 or
+# cyclic-5 takes more than 111.
+MAX_REDUCTION_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -126,6 +131,7 @@ def _reduce(f: Polynomial, basis: Sequence[Polynomial], quotients: list[dict] | 
     heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder: dict[Exponents, Fraction] = {}
+    steps, limit = 0, MAX_REDUCTION_STEPS
     while heap:
         exps = heappop(heap)[1]
         coeff = work.pop(exps, None)
@@ -137,6 +143,9 @@ def _reduce(f: Polynomial, basis: Sequence[Polynomial], quotients: list[dict] | 
         else:
             remainder[exps] = coeff
             continue
+        steps += 1
+        if steps > limit:
+            raise RingError(f"division exceeds the limit of {limit} reduction steps")
         factor = coeff / lead_coeff
         shift = tuple(map(sub, exps, lead))
         if quotients is not None:

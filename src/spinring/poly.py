@@ -66,7 +66,8 @@ class RingContext:
         if len(set(self.variables)) != len(self.variables):
             raise RingError("duplicate variable name")
         for name in self.variables:
-            if not name or not all(ch.isalnum() or ch == "_" for ch in name) or name[0].isdigit():
+            # the names the expression parser reads: a letter or '_', then word characters
+            if not (name[:1].isalpha() or name[:1] == "_") or not all(ch.isalnum() or ch == "_" for ch in name):
                 raise RingError(f"bad variable name {name!r}")
         if not self.weights:
             object.__setattr__(self, "weights", (1,) * len(self.variables))

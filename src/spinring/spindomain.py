@@ -185,25 +185,19 @@ def quotient_ring(component: str) -> QuotientRing:
     return build_quotient(groebner_basis(component))
 
 
-@dataclass(frozen=True)
-class NamedClass:
-    name: str
-    component: str
-    expression: Polynomial
+def _class(component: str, key: str) -> Polynomial:
+    context = builtin(component).context  # checks the component first
+    return parse_polynomial(_DATA[component][key], context)
 
 
-@lru_cache(maxsize=None)
-def lambda_class(component: str) -> NamedClass:
+def lambda_class(component: str) -> Polynomial:
     """The degree-2 Hodge class, written in boundary classes."""
-    data = _DATA[_require_component(component)]
-    return NamedClass("lambda2", component, parse_polynomial(data["lambda2"], builtin(component).context))
+    return _class(component, "lambda2")
 
 
-@lru_cache(maxsize=None)
-def boundary_sum(component: str) -> NamedClass:
+def boundary_sum(component: str) -> Polynomial:
     """The ample total boundary class, the sum of all boundary divisors."""
-    data = _DATA[_require_component(component)]
-    return NamedClass("delta", component, parse_polynomial(data["boundary_sum"], builtin(component).context))
+    return _class(component, "boundary_sum")
 
 
 # -- boundary calculus on the base space of stable curves --------------------
@@ -252,14 +246,11 @@ def pullback(expr: Polynomial, component: str) -> Polynomial:
     """
     if expr.context != base_context():
         raise RingError("pullback expects an expression in the base boundary symbols")
-    context = builtin(_require_component(component)).context
-    images = (
-        parse_polynomial("a0 + 2*b0", context),
-        parse_polynomial(_DATA[component]["d1_image"], context),
-    )
-    total = context.zero()
+    d1 = _class(component, "d1_image")
+    dirr = parse_polynomial("a0 + 2*b0", d1.context)
+    total = d1.context.zero()
     for (e_dirr, e_d1), coeff in expr.terms():
-        total = total + images[0] ** e_dirr * images[1] ** e_d1 * coeff
+        total = total + dirr**e_dirr * d1**e_d1 * coeff
     return total
 
 
@@ -269,7 +260,7 @@ def covering_degree_check(component: str) -> tuple[Fraction, Fraction]:
     Against the base intersection numbers these measure the covering degree:
     each integral should equal degree times the corresponding base number.
     """
-    ring = quotient_ring(_require_component(component))
+    ring = quotient_ring(component)
     normalization = builtin(component).point_normalization
     d1_cubed = pullback(base_class("d1^3"), component)
     dirr_d1_sq = pullback(base_class("dirr*d1^2"), component)
@@ -365,32 +356,19 @@ def strata(graph: str | None = None, component: str | None = None) -> tuple[Stra
 # -- Hodge data ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
-    """Hodge numbers h^{p,q} of the full space, 0 <= p,q <= 3."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, p: int, q: int) -> int:
-        return self.entries[p][q]
-
-    def serialize(self) -> str:
-        return ";".join(",".join(str(v) for v in row) for row in self.entries)
+EXPECTED_HODGE = ((2, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (0, 0, 0, 2))
 
 
-EXPECTED_HODGE = HodgeDiamond(((2, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (0, 0, 0, 2)))
-
-
-def hodge_diamond() -> HodgeDiamond:
-    """Assemble the diamond from the two quotients: all cohomology is algebraic,
-    so h^{k,k} adds the two degree-k dimensions and everything else is 0."""
+def hodge_diamond() -> tuple[tuple[int, ...], ...]:
+    """Rows p = 0..3 of the Hodge numbers h^{p,q}, assembled from the two quotients: all
+    cohomology is algebraic, so h^{k,k} adds the two degree-k dimensions, the rest is 0."""
     dims = {c: hilbert_function(quotient_ring(c)) for c in COMPONENTS}
     rows = []
     for p in range(4):
         row = [0, 0, 0, 0]
         row[p] = sum(d[p] if p < len(d) else 0 for d in dims.values())
         rows.append(tuple(row))
-    return HodgeDiamond(tuple(rows))
+    return tuple(rows)
 
 
 # -- verification -------------------------------------------------------------
@@ -486,6 +464,10 @@ def _csv(values) -> str:
     return ",".join(map(str, values))
 
 
+def _rows(rows) -> str:
+    return ";".join(map(_csv, rows))
+
+
 class _Facts:
     """The values one component's claims read, each computed at most once.
 
@@ -498,8 +480,8 @@ class _Facts:
         self.data = _DATA[component]
         self.pres = builtin(component)
         self.ring = quotient_ring(component)
-        self.lam = lambda_class(component).expression
-        self.delta = boundary_sum(component).expression
+        self.lam = lambda_class(component)
+        self.delta = boundary_sum(component)
         self.normalization = self.pres.point_normalization
         self.dim1 = self.ring.dimension(1)
         self.expected_hilbert = _csv(self.data["hilbert"])
@@ -613,7 +595,7 @@ _CLAIMS = (
     _Claim("covering_degree_inferred", "both integrals infer the stored covering degree {covering_degree}", "{covering_degree}", lambda f: _agreed(*f.inferred_degrees)),
     _Claim("lefschetz_rank", "multiplication by the total boundary is an isomorphism from degree 1 to degree 2", "{dim1}x{dim1} rank {dim1}", lambda f: _lefschetz_rank(f.ring, f.delta)),
     _Claim("euler_characteristic_sum", "e(even) + e(odd) = 18", "18", lambda f: sum(sum(facts.hilbert) for facts in f.values()), (ALL,)),
-    _Claim("hodge_diamond", "diagonal hodge numbers 2,7,7,2, all off-diagonal entries 0", EXPECTED_HODGE.serialize(), lambda f: hodge_diamond().serialize(), (ALL,)),
+    _Claim("hodge_diamond", "diagonal hodge numbers 2,7,7,2, all off-diagonal entries 0", _rows(EXPECTED_HODGE), lambda f: _rows(hodge_diamond()), (ALL,)),
     _Claim("covering_degree_sum", "the two covering degrees sum to 16", "16", lambda f: sum(facts.inferred_degrees[0] for facts in f.values()), (ALL,)),
     _Claim("strata_graph_counts", "strata per graph class: 2, 8 (one-node), 5, 6, 3, 6", "2,8,5,6,3,6", lambda f: _strata_per_graph_class(), (ALL,)),
     _Claim("strata_total_count", "30 strata in total", "30", lambda f: len(strata()), (ALL,)),

@@ -72,7 +72,7 @@ def test_criterion_03_euler_totals_and_hodge():
     for p in range(4):
         for q in range(4):
             expected = {0: 2, 1: 7, 2: 7, 3: 2}[p] if p == q else 0
-            assert diamond.entry(p, q) == expected
+            assert diamond[p][q] == expected
     report(3, "totals 10 + 8 = 18 and diagonal hodge numbers 2, 7, 7, 2")
 
 
@@ -87,7 +87,7 @@ def test_criterion_04_odd_cubic_relations():
 def test_criterion_05_lambda_squared_annihilates():
     for component in COMPONENTS:
         ring = quotient_ring(component)
-        lam = lambda_class(component).expression
+        lam = lambda_class(component)
         for name in ("a0", "b0"):
             product = lam * lam * ring.context.variable(name)
             assert ring.reduce(product).is_zero
@@ -107,7 +107,7 @@ def test_criterion_06_boundary_product_relation():
 def test_criterion_07_lambda_d1_relation():
     for component in COMPONENTS:
         ring = quotient_ring(component)
-        lam = lambda_class(component).expression
+        lam = lambda_class(component)
         d1 = pullback(base_class("d1"), component)
         dirr_d1 = pullback(base_class("dirr*d1"), component)
         assert ring.reduce(lam * d1 - Fraction(1, 12) * dirr_d1).is_zero
@@ -142,11 +142,11 @@ def test_criterion_09_covering_degrees():
 
 def test_criterion_10_hard_lefschetz_ranks():
     even = quotient_ring("even")
-    even_matrix = multiplication_matrix(even, boundary_sum("even").expression, 1)
+    even_matrix = multiplication_matrix(even, boundary_sum("even"), 1)
     assert rank(even_matrix) == 4
 
     odd = quotient_ring("odd")
-    odd_matrix = multiplication_matrix(odd, boundary_sum("odd").expression, 1)
+    odd_matrix = multiplication_matrix(odd, boundary_sum("odd"), 1)
     assert rank(odd_matrix) == 3
     report(10, "boundary-sum multiplication has full rank 4 (even) and 3 (odd)")
 

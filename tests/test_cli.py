@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinring
-from spinring import spindomain
+from spinring import groebner, spindomain
 from spinring.cli import main
 from spinring.parser import MAX_NESTING
 from spinring.quotient import MAX_DIMENSION
@@ -360,6 +360,15 @@ def test_nf_of_large_power(capsys, tmp_path):
     assert (code, out) == (0, "1\n")
 
 
+def test_division_step_limit_exit_code(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "toy.ring"
+    path.write_text(RING_FILE)
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 100)
+    code, out, err = run(capsys, "nf", "--ring", str(path), "--expr", "x^99999999999")
+    assert (code, out) == (3, "")
+    assert err == "spinring: division exceeds the limit of 100 reduction steps\n"
+
+
 def test_number_too_long_to_print(capsys):
     # each literal is within int()'s 4300-digit limit; the products are not
     n = "7" * 3000
@@ -368,6 +377,9 @@ def test_number_too_long_to_print(capsys):
         assert result == (3, "", "spinring: number too long to print\n")
     result = run(capsys, "integrate", "--builtin", "even", "--expr", f"({n})*({n})*a0^3")
     assert result == (3, "", "spinring: number too long to print\n")
+    # a literal past that limit is malformed input
+    result = run(capsys, "nf", "--builtin", "odd", "--expr", "7" * 4301)
+    assert result == (2, "", "spinring: number too long at column 1\n")
 
 
 def test_expression_starting_with_minus(capsys):

@@ -26,6 +26,7 @@ from spinring import (
     normal_form,
     s_polynomial,
 )
+from spinring import groebner
 
 from oracles import (
     brute_force_member,
@@ -59,6 +60,21 @@ def test_s_polynomial_context_mismatch():
     other = RingContext(("x", "y"), order="lex")
     with pytest.raises(ContextMismatch):
         s_polynomial(X, other.variable("x"))
+
+
+def test_s_polynomial_of_zero():
+    with pytest.raises(RingError, match="zero polynomial"):
+        s_polynomial(X, XY.zero())
+
+
+def test_division_rejects_foreign_context_and_zero_basis():
+    other = RingContext(("x", "y"), order="lex")
+    with pytest.raises(ContextMismatch):
+        normal_form(X, [other.variable("x")])
+    with pytest.raises(ContextMismatch):
+        is_member(other.variable("x"), small_ideal())
+    with pytest.raises(RingError, match="zero basis element"):
+        normal_form(X, [Y, XY.zero()])
 
 
 def test_ideal_rejects_zero_generator():
@@ -215,6 +231,15 @@ def test_normal_form_of_large_power_is_fast():
     start = time.monotonic()
     assert gb.normal_form(f) == Y
     assert time.monotonic() - start < 2.0
+
+
+def test_division_step_limit(monkeypatch):
+    # x^N takes 5N/6 reduction steps in the toy ring, rounded down
+    gb = buchberger(small_ideal())
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 100)
+    assert gb.normal_form(X**121) == X
+    with pytest.raises(RingError, match="^division exceeds the limit of 100 reduction steps$"):
+        gb.normal_form(X**122)
 
 
 def cyclic(n: int) -> Ideal:

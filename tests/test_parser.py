@@ -11,6 +11,7 @@ from spinring import (
     ParseError,
     Polynomial,
     RingContext,
+    RingError,
     parse_polynomial,
     parse_ring_file,
 )
@@ -142,6 +143,23 @@ def test_non_ascii_digits():
         parse_polynomial("3½*a0", EVEN)
 
 
+def test_number_too_long():
+    # int() converts at most 4300 digits
+    with pytest.raises(ParseError, match="^number too long at column 4$"):
+        parse_polynomial("a0^" + "7" * 4301, EVEN)
+
+
+@example("½x")
+@example("ⅷ")
+@given(st.text(min_size=1, max_size=4))
+def test_every_variable_name_parses(name):
+    try:
+        ctx = RingContext((name,))
+    except RingError:
+        return
+    assert parse_polynomial(name, ctx) == ctx.variable(name)
+
+
 @example("a0^²")
 @example("²*a0")
 @example("a0 + ¹/2")
@@ -246,6 +264,7 @@ def test_ring_file_render_round_trip():
         ("ring r\nvars x\nideal\n  x\n", "missing 'end'"),
         ("ring r\nvars x\nideal\n  x\nend\nx\n", "content after 'end'"),
         ("ring r\nvars x\nideal\n  0\nend\n", "generator is zero"),
+        ("ring r\nvars ½x\nideal\nend\n", "bad variable name"),
     ],
 )
 def test_ring_file_errors(text, message):

@@ -61,8 +61,15 @@ def test_context_validation():
         RingContext(("x",), weights=(0,))
     with pytest.raises(RingError):
         RingContext(("x",), order="deglex")
-    with pytest.raises(RingError):
-        RingContext(("2x",))
+    # a name the expression parser could not read back
+    for name in ("2x", "½x"):
+        with pytest.raises(RingError, match="bad variable name"):
+            RingContext((name,))
+
+
+def test_unknown_variable():
+    with pytest.raises(RingError, match="unknown variable 'q'"):
+        XY.variable("q")
 
 
 def test_weights_must_be_integers():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spinring import (
+    ContextMismatch,
     DegreeError,
     Ideal,
     NonArtinianError,
@@ -82,6 +83,8 @@ def test_reduce_and_multiply():
     square = ring.reduce(a1 * a1)
     assert square == ring.reduce(Fraction(-1, 12) * a0 * a1)
     assert str(square) == "-1/6*a1*b0"
+    with pytest.raises(ContextMismatch):
+        ring.reduce(quotient_ring("even").context.variable("a0"))
 
 
 def test_coordinates_round_trip():
@@ -243,6 +246,14 @@ def test_integrate_rejects_wrong_degree():
         integrate(ring, a0 + a0**3, norm)
 
 
+def test_integrate_needs_one_dimensional_top():
+    ctx = RingContext(("x", "y"))
+    ring = monomial_quotient(ctx, [(2, 0), (1, 1), (0, 2)])
+    x = ctx.variable("x")
+    with pytest.raises(RingError, match="one-dimensional top piece, got dimension 2"):
+        integrate(ring, x, PointNormalization(witness=x, value=Fraction(1)))
+
+
 def test_integrate_rejects_degenerate_witness():
     ring = quotient_ring("even")
     a1, b1 = ring.context.variable("a1"), ring.context.variable("b1")
@@ -265,7 +276,7 @@ def test_multiplication_by_one_is_identity():
 
 def test_even_boundary_multiplication_matrix():
     ring = quotient_ring("even")
-    delta = boundary_sum("even").expression
+    delta = boundary_sum("even")
     matrix = multiplication_matrix(ring, delta, 1)
     assert matrix == [
         [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
@@ -278,7 +289,7 @@ def test_even_boundary_multiplication_matrix():
 
 def test_odd_boundary_multiplication_matrix():
     ring = quotient_ring("odd")
-    delta = boundary_sum("odd").expression
+    delta = boundary_sum("odd")
     matrix = multiplication_matrix(ring, delta, 1)
     assert matrix == [
         [Fraction(1), Fraction(0), Fraction(0)],
@@ -375,6 +386,7 @@ def test_degrees_without_a_piece_raise():
     cases.append((unit, PointNormalization(witness=unit.context.variable("x"), value=Fraction(1))))
     for ring, norm in cases:
         for d in (-1, ring.top_degree + 1):
+            assert ring.dimension(d) == 0  # the one reader that takes such a degree as empty
             message = f"^no graded piece in degree {d}$"
             with pytest.raises(DegreeError, match=message):
                 ring.coordinates(ring.context.zero(), d)

@@ -57,8 +57,17 @@ def test_builtin_odd_shape():
 
 
 def test_builtin_rejects_unknown_component():
-    with pytest.raises(RingError, match="component"):
-        builtin("both")
+    # the functions that read a component's data reach the check through builtin()
+    calls = (
+        builtin,
+        lambda_class,
+        boundary_sum,
+        lambda c: pullback(base_class("d1"), c),
+        covering_degree_check,
+    )
+    for call in calls:
+        with pytest.raises(RingError, match="component"):
+            call("both")
 
 
 def test_describe_mentions_relation_count():
@@ -98,21 +107,18 @@ def test_hilbert_functions():
 
 
 def test_lambda_class_formulas():
-    even = lambda_class("even")
-    assert even.name == "lambda2"
-    assert str(even.expression) == "1/10*a0 + 2/5*a1 + 1/5*b0 + 2/5*b1"
-    odd = lambda_class("odd")
-    assert str(odd.expression) == "1/10*a0 + 2/5*a1 + 1/5*b0"
+    assert str(lambda_class("even")) == "1/10*a0 + 2/5*a1 + 1/5*b0 + 2/5*b1"
+    assert str(lambda_class("odd")) == "1/10*a0 + 2/5*a1 + 1/5*b0"
 
 
 def test_boundary_sum_formulas():
-    assert str(boundary_sum("even").expression) == "a0 + a1 + b0 + b1"
-    assert str(boundary_sum("odd").expression) == "a0 + a1 + b0"
+    assert str(boundary_sum("even")) == "a0 + a1 + b0 + b1"
+    assert str(boundary_sum("odd")) == "a0 + a1 + b0"
 
 
 def test_ten_lambda_is_pullback_of_boundary():
     for component in COMPONENTS:
-        lam = lambda_class(component).expression
+        lam = lambda_class(component)
         pulled = pullback(base_class("dirr + 2*d1"), component)
         assert 10 * lam == pulled
 
@@ -121,7 +127,7 @@ def test_lambda_annihilates_degree_one_boundaries():
     # in each quotient, lambda^2 kills the two weight-one boundary classes
     for component in COMPONENTS:
         ring = quotient_ring(component)
-        lam = lambda_class(component).expression
+        lam = lambda_class(component)
         for name in ("a0", "b0"):
             cls = ring.context.variable(name)
             assert ring.reduce(lam * lam * cls).is_zero
@@ -229,12 +235,11 @@ def test_stratum_notes():
 def test_hodge_diamond_matches_expected():
     diamond = hodge_diamond()
     assert diamond == EXPECTED_HODGE
-    assert diamond.entry(0, 0) == 2
-    assert diamond.entry(1, 1) == 7
-    assert diamond.entry(2, 2) == 7
-    assert diamond.entry(3, 3) == 2
-    assert diamond.entry(1, 0) == 0
-    assert diamond.serialize() == "2,0,0,0;0,7,0,0;0,0,7,0;0,0,0,2"
+    assert diamond[0][0] == 2
+    assert diamond[1][1] == 7
+    assert diamond[2][2] == 7
+    assert diamond[3][3] == 2
+    assert diamond[1][0] == 0
 
 
 # -- verification reports -----------------------------------------------------------
