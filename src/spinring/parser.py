@@ -214,7 +214,8 @@ class RingFile:
             lines.append("weights " + " ".join(str(w) for w in self.context.weights))
         lines.append(f"order {self.context.order}")
         lines.append("ideal")
-        lines.extend(f"  {g}" for g in self.ideal.generators)
+        # a generator line that is only 'end' would close the block
+        lines.extend(f"  ({g})" if str(g) == "end" else f"  {g}" for g in self.ideal.generators)
         lines.append("end")
         return "\n".join(lines) + "\n"
 

@@ -19,6 +19,8 @@ from typing import Callable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
+# the coefficient of every absent monomial; a Fraction is immutable, so one is shared
+_ZERO = Fraction(0)
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -169,7 +171,7 @@ class Polynomial:
         return len(self._terms)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return self._terms.get(tuple(exps), _ZERO)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending monomial order (the canonical ordering)."""

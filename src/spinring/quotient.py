@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .groebner import GroebnerBasis
@@ -240,35 +240,43 @@ def pairing_matrix(
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over the rationals by fraction-free Gaussian elimination.
+    """Exact rank over the rationals by sparse fraction-free elimination.
 
-    Rows are first scaled to integers, then eliminated Bareiss-style so the
-    intermediate entries stay integral (each division below is exact), which
-    keeps coefficient growth in check.
+    Each row keeps only its nonzero entries, scaled to integers.  While the
+    row is nonzero it is reduced at its last nonzero column: with no pivot
+    row there it becomes one, else it is replaced by the integer combination
+    a*row - b*pivot that cancels that entry.  Dividing out each row's content
+    keeps the integers small, and the work follows the nonzeros.
     """
-    rows: list[list[int]] = []
+    pivots: dict[int, dict[int, int]] = {}
     for row in matrix:
-        cleared = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in cleared)) if cleared else 1
-        rows.append([int(x * scale) for x in cleared])
-    if not rows or not rows[0]:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    if any(len(r) != n_cols for r in rows):
-        raise RingError("ragged matrix")
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+        if len(row) != len(matrix[0]):
+            raise RingError("ragged matrix")
+        entries = {j: Fraction(x) for j, x in enumerate(row) if x}
+        scale = lcm(*(x.denominator for x in entries.values()))
+        current = {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}
+        while current:
+            col = max(current)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = _primitive(current)
+                break
+            g = gcd(pivot[col], current[col])
+            a, b = pivot[col] // g, current[col] // g
+            current = {j: a * x for j, x in current.items()}
+            # the pivot's columns are at most col, so col cancels and the
+            # next column to reduce lies to its left
+            for j, x in pivot.items():
+                value = current.get(j, 0) - b * x
+                if value:
+                    current[j] = value
+                else:
+                    del current[j]
+            current = _primitive(current)
+    return len(pivots)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return {j: x // content for j, x in row.items()} if content > 1 else row

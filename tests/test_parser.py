@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinring import (
     GREVLEX,
+    Ideal,
     ParseError,
     Polynomial,
     RingContext,
@@ -15,7 +16,7 @@ from spinring import (
     parse_polynomial,
     parse_ring_file,
 )
-from spinring.parser import MAX_NESTING
+from spinring.parser import MAX_NESTING, RingFile
 
 from oracles import monomials_up_to
 
@@ -240,9 +241,14 @@ def test_ring_file_render_round_trip():
     for text in (
         SPIN_FILE,
         "ring w\nvars x y\nweights 1 3\norder lex\nideal\n  x^3 - y\nend\n",
+        "ring e\nvars end x\nideal\n  (end)\n  x^2\nend\n",
     ):
         rf = parse_ring_file(text)
         assert parse_ring_file(rf.render()) == rf
+    # a lone generator 'end' is written so that it does not close the block
+    ctx = RingContext(("end",))
+    rf = RingFile("r", ctx, Ideal(ctx, (ctx.variable("end"),)))
+    assert parse_ring_file(rf.render()) == rf
 
 
 @pytest.mark.parametrize(

@@ -410,9 +410,43 @@ def test_rank_matches_plain_elimination():
             matrix.append([2 * x for x in matrix[0]])
         assert rank(matrix) == plain_rank(matrix)
 
+    def entry(big):
+        low = 2**64 + 1 if big else 1
+        return Fraction(rng.choice([-1, 1]) * rng.randint(low, 9 * low), rng.randint(low, 4 * low))
+
+    # sparse tall, wide and square matrices, with zero rows and columns and
+    # rows that combine earlier ones; half of them have entries whose
+    # numerators and denominators exceed 2^64
+    for trial in range(36):
+        short, long = rng.randint(1, 8), rng.randint(9, 30)
+        rows, cols = [(long, short), (short, long), (long, long)][trial % 3]
+        big = trial % 6 >= 3
+        matrix = [[Fraction(0)] * cols for _ in range(rows)]
+        # at least 80 % zeros
+        for k in rng.sample(range(rows * cols), rng.randint(1, rows * cols // 5)):
+            matrix[k // cols][k % cols] = entry(big)
+        zero_col = rng.randrange(cols)
+        for row in matrix:
+            row[zero_col] = Fraction(0)
+        matrix.insert(rng.randrange(rows + 1), [Fraction(0)] * cols)
+        for _ in range(rng.randint(1, 4)):
+            parts = rng.sample(matrix, min(len(matrix), rng.randint(2, 3)))
+            weights = [entry(big) for _ in parts]
+            matrix.append([sum(w * row[j] for w, row in zip(weights, parts)) for j in range(cols)])
+        assert rank(matrix) == plain_rank(matrix)
+    # the tall and wide multiplication matrices of the 12-box
+    box = monomial_quotient(RingContext(("x", "y", "z")), [(12, 0, 0), (0, 12, 0), (0, 0, 12)])
+    multiplier = parse_polynomial("x + 2*y - 3/2*z", box.context)
+    for degree in (2, 7, 30):
+        matrix = multiplication_matrix(box, multiplier, degree)
+        assert rank(matrix) == plain_rank(matrix)
+
 
 def test_rank_edge_cases():
     assert rank([]) == 0
+    assert rank([[]]) == 0
     assert rank([[Fraction(0), Fraction(0)]]) == 0
     with pytest.raises(RingError, match="ragged"):
         rank([[Fraction(1)], [Fraction(1), Fraction(2)]])
+    with pytest.raises(RingError, match="ragged"):
+        rank([[], [Fraction(1)]])
