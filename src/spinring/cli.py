@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     integrate_cmd.add_argument("--point", metavar="WITNESS=VALUE", help="point normalization for ring files")
     lefschetz = add("lefschetz", _lefschetz, "multiplication matrix and its rank", [source])
     lefschetz.add_argument("--class", dest="multiplier", required=True, metavar="EXPR")
-    lefschetz.add_argument("--from-degree", type=int, required=True)
+    lefschetz.add_argument("--from-degree", type=int, required=True, metavar="D")
     verify = add("verify", _verify, "replay the recorded verification suite")
     verify.add_argument(
         "--component",

@@ -7,14 +7,20 @@ rescaled generator lists) return bit-identical results; each ``Ideal``
 object computes its basis once and keeps it.  Division follows a
 fixed rule: reduce by the basis element whose leading monomial is largest
 among those dividing the current term, breaking ties by basis index.
+
+Completion is fraction-free: its S-pair reductions run on primitive integer
+term dicts, and only the final reduction of the basis, ``divide`` and
+``normal_form`` work over the rationals.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Sequence
 
@@ -27,6 +33,7 @@ from .poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    primitive,
 )
 
 # Most reduction steps one division may take.  x^N in the toy ring of the
@@ -169,6 +176,11 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     return ideal.reduced_basis
 
 
+# A fraction-free row: leading monomial, positive leading coefficient, and
+# the primitive integer term dict holding both.
+_Row = tuple[Exponents, int, dict[Exponents, int]]
+
+
 def _complete(ideal: Ideal) -> GroebnerBasis:
     """Complete the ideal's generators to the reduced monic Groebner basis.
 
@@ -178,43 +190,133 @@ def _complete(ideal: Ideal) -> GroebnerBasis:
     leading monomial divides the lcm, and neither of its pairs with the two
     is still queued (Cox, Little and O'Shea, Ideals, Varieties, and
     Algorithms, ch. 2, "Improvements on Buchberger's Algorithm").
+
+    The pair loop is fraction-free.  Each row is an integer term dict made
+    primitive with a positive leading coefficient, and rows that are
+    rational multiples of each other are one row.  The S-polynomials and
+    their reductions stay on integers (``_s_row``, ``_reduce_row``); the
+    rows become monic rationals once, in ``_reduce_basis``.
     """
     if not ideal.generators:
         raise RingError("buchberger needs at least one generator")
     ctx = ideal.context
-    basis = list(dict.fromkeys(g.monic() for g in ideal.generators))
+    key = ctx.descending_key()
+    rows: list[_Row] = []
     leads: list[Exponents] = []
+    reducers: list[tuple] = []  # (lead key, index, row): the division rule's order
     heap: list[tuple] = []  # (lcm key, i, j) with i < j
     queued: set[tuple[int, int]] = set()  # the pairs in the heap, both ways round
 
-    def add_pairs(g: Polynomial) -> None:
-        k, lead = len(leads), g.leading_monomial()
+    def add_row(row: _Row) -> None:
+        k, lead = len(rows), row[0]
         for i, other in enumerate(leads):
-            lcm = monomial_lcm(other, lead)
-            if lcm != monomial_mul(other, lead):
-                heappush(heap, (ctx.sort_key(lcm), i, k))
+            pair_lcm = monomial_lcm(other, lead)
+            if pair_lcm != monomial_mul(other, lead):
+                heappush(heap, (ctx.sort_key(pair_lcm), i, k))
                 queued.update(((i, k), (k, i)))
+        rows.append(row)
         leads.append(lead)
+        insort(reducers, (key(lead), k, row))
 
-    for g in basis:
-        add_pairs(g)
+    # generators equal up to a rational factor give one row
+    for row in {frozenset(r[2].items()): r for r in (_row(g._terms, key) for g in ideal.generators)}.values():
+        add_row(row)
     while heap:
         _, i, j = heappop(heap)
         queued.difference_update(((i, j), (j, i)))
-        lcm = monomial_lcm(leads[i], leads[j])
+        pair_lcm = monomial_lcm(leads[i], leads[j])
         if any(
-            k != i and k != j and (i, k) not in queued and (j, k) not in queued and monomial_divides(m, lcm)
+            k != i and k != j and (i, k) not in queued and (j, k) not in queued and monomial_divides(m, pair_lcm)
             for k, m in enumerate(leads)
         ):
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if not remainder.is_zero:
-            basis.append(remainder.monic())
-            add_pairs(basis[-1])
-    return GroebnerBasis(ctx, _reduce_basis(ctx, basis))
+        remainder = _reduce_row(_s_row(rows[i], rows[j], pair_lcm), reducers, key)
+        if remainder:
+            add_row(_row(remainder, key))
+    return GroebnerBasis(ctx, _reduce_basis(ctx, rows))
 
 
-def _reduce_basis(ctx: RingContext, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
+def _row(terms: dict, key) -> _Row:
+    """The row of a nonzero term dict with rational or integer values: scaled
+    to coprime integers with a positive leading coefficient."""
+    lead = min(terms, key=key)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    if terms[lead] < 0:
+        scale = -scale
+    terms = primitive({m: c.numerator * (scale // c.denominator) for m, c in terms.items()})
+    return lead, terms[lead], terms
+
+
+def _s_row(f: _Row, g: _Row, pair_lcm: Exponents) -> dict[Exponents, int]:
+    """The S-polynomial of f and g times a positive integer: (c_g/d)*(lcm/m_f)*f
+    - (c_f/d)*(lcm/m_g)*g, with c_f, c_g the leading coefficients and d their gcd."""
+    d = gcd(f[1], g[1])
+    work: dict[Exponents, int] = {}
+    for (lead, _, terms), factor in ((f, g[1] // d), (g, -f[1] // d)):
+        shift = tuple(map(sub, pair_lcm, lead))
+        for m, c in terms.items():
+            m = tuple(map(add, m, shift))
+            work[m] = work.get(m, 0) + factor * c
+    return {m: c for m, c in work.items() if c}
+
+
+def _reduce_row(work: dict[Exponents, int], reducers: list[tuple], key) -> dict[Exponents, int]:
+    # The integer twin of _reduce, with the same heap, the same reducer rule
+    # and the same step cap.  A step cancels the leading term c*x by
+    # work := a*work - b*shift*g, where g has leading term c_g*lead and
+    # a = c_g/d, b = c/d with d = gcd(c_g, c).  Terms already moved to the
+    # remainder are scaled by a too, and the content of the whole is divided
+    # out after each step that scaled, so the integers stay small.
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    remainder: dict[Exponents, int] = {}
+    steps, limit = 0, MAX_REDUCTION_STEPS
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for _, _, (lead, lead_coeff, terms) in reducers:
+            if all(map(le, lead, exps)):
+                break
+        else:
+            remainder[exps] = coeff
+            continue
+        steps += 1
+        if steps > limit:
+            raise RingError(f"division exceeds the limit of {limit} reduction steps")
+        d = gcd(lead_coeff, coeff)
+        a, b = lead_coeff // d, coeff // d
+        if a != 1:
+            for part in (work, remainder):
+                for m in part:
+                    part[m] *= a
+        shift = tuple(map(sub, exps, lead))
+        for m, c in terms.items():
+            if m != lead:
+                m, c = tuple(map(add, m, shift)), b * c
+                old = work.get(m)
+                if old is None:
+                    work[m] = -c
+                    heappush(heap, (key(m), m))
+                elif old == c:
+                    del work[m]
+                else:
+                    work[m] = old - c
+        if a != 1:
+            content = gcd(*work.values(), *remainder.values())
+            if content > 1:
+                for part in (work, remainder):
+                    for m in part:
+                        part[m] //= content
+    return remainder
+
+
+def _reduce_basis(ctx: RingContext, rows: list[_Row]) -> tuple[Polynomial, ...]:
+    # the rows become monic rationals here, once
+    basis = [
+        Polynomial._make(ctx, {m: Fraction(c, lead) for m, c in terms.items()}) for _, lead, terms in rows
+    ]
     # minimal: drop any element whose leading monomial another one divides;
     # ascending scan keeps the divisor and drops the multiple
     key = ctx.descending_key()

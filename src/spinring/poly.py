@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import le, mul
 from typing import Callable, Iterator, Mapping, Union
 
@@ -46,6 +47,13 @@ def monomial_divides(a: Exponents, b: Exponents) -> bool:
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def primitive(row: dict) -> dict:
+    """An integer dict, a matrix row or a polynomial's terms, divided by the
+    gcd of its values."""
+    content = gcd(*row.values())
+    return {k: x // content for k, x in row.items()} if content > 1 else row
 
 
 @dataclass(frozen=True)

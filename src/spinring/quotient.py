@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .groebner import GroebnerBasis
-from .poly import ContextMismatch, Exponents, Polynomial, RingError, monomial_divides
+from .poly import ContextMismatch, Exponents, Polynomial, RingError, monomial_divides, primitive
 
 
 # Largest quotient dimension build_quotient enumerates; x^90, y^90, z^90
@@ -142,18 +142,21 @@ def build_quotient(basis: GroebnerBasis) -> QuotientRing:
     for m in leads:
         for i, e in enumerate(m):
             raised[i].setdefault(e, []).append(m)
-    one = (0,) * ctx.nvars
-    walk = [] if one in leads else [(one, 0)]
-    for exps, last in walk:  # grows while it is walked
-        for i in range(last, ctx.nvars):
+    # each walked monomial carries its weighted degree: a child's is its
+    # parent's plus the weight of the variable raised
+    nvars, weights = ctx.nvars, ctx.weights
+    one = (0,) * nvars
+    walk = [] if one in leads else [(one, 0, 0)]
+    for exps, last, degree in walk:  # grows while it is walked
+        for i in range(last, nvars):
             child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
             if not any(monomial_divides(m, child) for m in raised[i].get(child[i], ())):
-                walk.append((child, i))
+                walk.append((child, i, degree + weights[i]))
         if len(walk) > MAX_DIMENSION:
             raise DimensionLimitError(f"quotient dimension exceeds the limit of {MAX_DIMENSION}")
     by_degree: dict[int, list[Exponents]] = {}
-    for exps, _ in walk:
-        by_degree.setdefault(ctx.degree(exps), []).append(exps)
+    for exps, _, degree in walk:
+        by_degree.setdefault(degree, []).append(exps)
     # one piece is stored per degree, so a large weight costs as much as a
     # large dimension; the unit ideal leaves one empty piece in degree 0
     top = max(by_degree, default=0)
@@ -259,7 +262,7 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
             col = max(current)
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = _primitive(current)
+                pivots[col] = primitive(current)
                 break
             g = gcd(pivot[col], current[col])
             a, b = pivot[col] // g, current[col] // g
@@ -272,11 +275,5 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
                     current[j] = value
                 else:
                     del current[j]
-            current = _primitive(current)
+            current = primitive(current)
     return len(pivots)
-
-
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
-    content = gcd(*row.values())
-    return {j: x // content for j, x in row.items()} if content > 1 else row

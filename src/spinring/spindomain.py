@@ -196,7 +196,11 @@ def lambda_class(component: str) -> Polynomial:
 
 
 def boundary_sum(component: str) -> Polynomial:
-    """The ample total boundary class, the sum of all boundary divisors."""
+    """The total boundary class, the sum of all boundary divisors.
+
+    It is not ample: its cube integrates to -12835/2304 on the even ring and
+    to -1169/768 on the odd one, and an ample class has a positive top power.
+    """
     return _class(component, "boundary_sum")
 
 
