@@ -367,6 +367,17 @@ def test_division_step_limit_exit_code(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "nf", "--ring", str(path), "--expr", "x^99999999999")
     assert (code, out) == (3, "")
     assert err == "spinring: division exceeds the limit of 100 reduction steps\n"
+    # the cap also stops Buchberger's pair loop: completing cyclic-4 takes at
+    # most 4 steps in one S-pair reduction
+    path = tmp_path / "cyclic4.ring"
+    path.write_text(
+        "ring cyclic4\nvars a b c d\nideal\n  a + b + c + d\n  a*b + b*c + c*d + d*a\n"
+        "  a*b*c + b*c*d + c*d*a + d*a*b\n  a*b*c*d - 1\nend\n"
+    )
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 3)
+    code, out, err = run(capsys, "gb", "--ring", str(path))
+    assert (code, out) == (3, "")
+    assert err == "spinring: division exceeds the limit of 3 reduction steps\n"
 
 
 def test_number_too_long_to_print(capsys):

@@ -8,6 +8,7 @@ membership oracle that knows nothing about S-polynomials.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,31 @@ def test_engine_matches_reference_engine():
         f = random_polynomial(rng, ctx, max_degree=4, max_terms=6)
         for basis in (gb.elements, ideal.generators + gb.elements):
             assert divide(f, basis) == reference_divide(f, basis)
+    # rational coefficients, some numerators and denominators above 2^64,
+    # and lists rescaled by a negative rational or holding a generator twice
+    # up to such a factor: the completion's integer rows must clear every
+    # denominator, content and sign
+    rng = random.Random(2718)
+    big = 2**64
+    for trial in range(60):
+        order, weights = orders[trial % 3]
+        nvars = rng.randint(2, 3)
+        ctx = RingContext(tuple("xyz"[:nvars]), weights[:nvars], order)
+        generators = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for m, c in random_polynomial(rng, ctx).terms():
+                numerator = rng.randint(big, 4 * big) if rng.random() < 0.3 else rng.randint(1, 9)
+                denominator = rng.randint(big, 4 * big) if rng.random() < 0.3 else rng.randint(1, 9)
+                terms[m] = c * Fraction(numerator, denominator)
+            generators.append(Polynomial(ctx, terms))
+        factor = -Fraction(rng.randint(1, 4 * big), rng.randint(1, 4 * big))
+        if trial % 4 == 1:
+            generators = [g * factor for g in generators]
+        elif trial % 4 == 2:
+            generators.append(generators[0] * factor)
+        ideal = Ideal(ctx, tuple(generators))
+        assert buchberger(ideal).elements == reference_buchberger(ideal)
 
 
 def test_normal_form_of_large_power_is_fast():
@@ -240,6 +266,13 @@ def test_division_step_limit(monkeypatch):
     assert gb.normal_form(X**121) == X
     with pytest.raises(RingError, match="^division exceeds the limit of 100 reduction steps$"):
         gb.normal_form(X**122)
+    # completing cyclic-4 takes at most 4 steps in one S-pair reduction, so
+    # a cap of 3 stops the pair loop itself
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 3)
+    with pytest.raises(RingError, match="^division exceeds the limit of 3 reduction steps$"):
+        buchberger(cyclic(4))
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 4)
+    assert len(buchberger(cyclic(4))) == 7
 
 
 def cyclic(n: int) -> Ideal:
