@@ -6,7 +6,7 @@ with the built-in presentations of the even and odd spin components and a
 verification suite replaying every recorded claim about them.
 """
 
-from .groebner import GroebnerBasis, Ideal, buchberger, divide, is_member, normal_form, s_polynomial
+from .groebner import GroebnerBasis, Ideal, buchberger, is_member, normal_form, s_polynomial
 from .parser import ParseError, parse_polynomial, parse_ring_file
 from .poly import GREVLEX, ContextMismatch, Polynomial, RingContext, RingError
 from .quotient import (
@@ -72,7 +72,6 @@ __all__ = [
     "build_quotient",
     "builtin",
     "covering_degree_check",
-    "divide",
     "groebner_basis",
     "hilbert_function",
     "hodge_diamond",

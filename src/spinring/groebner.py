@@ -8,9 +8,10 @@ object computes its basis once and keeps it.  Division follows a
 fixed rule: reduce by the basis element whose leading monomial is largest
 among those dividing the current term, breaking ties by basis index.
 
-Completion is fraction-free: its S-pair reductions run on primitive integer
-term dicts, and only the final reduction of the basis, ``divide`` and
-``normal_form`` work over the rationals.
+Division is fraction-free.  One loop, ``_reduce_row``, runs every S-pair
+reduction, interreduction and normal form on integer term dicts, and
+reports the factor it scaled its input by, so a normal form over the
+rationals is read off its integer remainder.
 """
 
 from __future__ import annotations
@@ -72,8 +73,15 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Exponents, ...]:
         return tuple(g.leading_monomial() for g in self.elements)
 
+    @cached_property
+    def _rows(self) -> list[tuple]:
+        """The elements' rows in the division rule's order, built on first use."""
+        return _reducers(self.elements, self.context.descending_key())
+
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.elements)
+        if f.context != self.context:
+            raise ContextMismatch("division basis must share the context of the dividend")
+        return _normal_form(f, self._rows)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -99,76 +107,30 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left * f - right * g
 
 
-def divide(f: Polynomial, basis: Sequence[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: f = sum(q[i]*basis[i]) + r with no term of r
-    divisible by any basis leading monomial.
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of f under division by basis; unique when basis is a Groebner basis.
 
     Each step looks at the leading term of the working polynomial: if some
     basis leading monomial divides it, reduce by the basis element with the
     largest such leading monomial (ties broken by basis index); otherwise the
-    term moves to the remainder.  The fixed rule keeps quotients deterministic
-    even when the basis is not a Groebner basis.
+    term moves to the remainder.
     """
-    quotients: list[dict] = [{} for _ in basis]
-    remainder = _reduce(f, basis, quotients)
-    return [Polynomial._make(f.context, q) for q in quotients], remainder
-
-
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of f under division by basis; unique when basis is a Groebner basis."""
-    return _reduce(f, basis, None)
-
-
-def _reduce(f: Polynomial, basis: Sequence[Polynomial], quotients: list[dict] | None) -> Polynomial:
-    # The working polynomial is one dict; a heap of its monomials yields the
-    # leading term, and cancelled monomials are skipped when popped.  New
-    # terms lie below the reduced one, so no quotient term is written twice.
     for g in basis:
         if g.context != f.context:
             raise ContextMismatch("division basis must share the context of the dividend")
         if g.is_zero:
             raise RingError("division by a zero basis element")
-    key = f.context.descending_key()
-    # largest leading monomial first, ties broken by the lowest index
-    candidates = sorted(
-        ((*g.leading_term(), g._terms, i) for i, g in enumerate(basis)),
-        key=lambda c: (key(c[0]), c[3]),
-    )
-    work = dict(f._terms)
-    heap = [(key(m), m) for m in work]
-    heapify(heap)
-    remainder: dict[Exponents, Fraction] = {}
-    steps, limit = 0, MAX_REDUCTION_STEPS
-    while heap:
-        exps = heappop(heap)[1]
-        coeff = work.pop(exps, None)
-        if coeff is None:
-            continue
-        for lead, lead_coeff, terms, index in candidates:
-            if all(map(le, lead, exps)):
-                break
-        else:
-            remainder[exps] = coeff
-            continue
-        steps += 1
-        if steps > limit:
-            raise RingError(f"division exceeds the limit of {limit} reduction steps")
-        factor = coeff / lead_coeff
-        shift = tuple(map(sub, exps, lead))
-        if quotients is not None:
-            quotients[index][shift] = factor
-        for m, c in terms.items():
-            if m != lead:
-                m, c = tuple(map(add, m, shift)), factor * c
-                old = work.get(m)
-                if old is None:
-                    work[m] = -c
-                    heappush(heap, (key(m), m))
-                elif old == c:
-                    del work[m]
-                else:
-                    work[m] = old - c
-    return Polynomial._make(f.context, remainder)
+    return _normal_form(f, _reducers(basis, f.context.descending_key()))
+
+
+def _normal_form(f: Polynomial, reducers: list[tuple]) -> Polynomial:
+    # f times the lcm of its denominators is an integer row; the rational
+    # remainder is the integer one over that scale times _reduce_row's factor
+    scale = lcm(*(c.denominator for c in f._terms.values()))
+    work = {m: c.numerator * (scale // c.denominator) for m, c in f._terms.items()}
+    remainder, factor = _reduce_row(work, reducers, f.context.descending_key())
+    scale *= factor
+    return Polynomial._make(f.context, {m: c / scale for m, c in remainder.items()})
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -193,9 +155,10 @@ def _complete(ideal: Ideal) -> GroebnerBasis:
 
     The pair loop is fraction-free.  Each row is an integer term dict made
     primitive with a positive leading coefficient, and rows that are
-    rational multiples of each other are one row.  The S-polynomials and
-    their reductions stay on integers (``_s_row``, ``_reduce_row``); the
-    rows become monic rationals once, in ``_reduce_basis``.
+    rational multiples of each other are one row.  The S-polynomials, their
+    reductions and the interreduction stay on integers (``_s_row``,
+    ``_reduce_row``); the rows become monic rationals once, at the end of
+    ``_reduce_basis``.
     """
     if not ideal.generators:
         raise RingError("buchberger needs at least one generator")
@@ -230,7 +193,7 @@ def _complete(ideal: Ideal) -> GroebnerBasis:
             for k, m in enumerate(leads)
         ):
             continue
-        remainder = _reduce_row(_s_row(rows[i], rows[j], pair_lcm), reducers, key)
+        remainder, _ = _reduce_row(_s_row(rows[i], rows[j], pair_lcm), reducers, key)
         if remainder:
             add_row(_row(remainder, key))
     return GroebnerBasis(ctx, _reduce_basis(ctx, rows))
@@ -260,13 +223,23 @@ def _s_row(f: _Row, g: _Row, pair_lcm: Exponents) -> dict[Exponents, int]:
     return {m: c for m, c in work.items() if c}
 
 
-def _reduce_row(work: dict[Exponents, int], reducers: list[tuple], key) -> dict[Exponents, int]:
-    # The integer twin of _reduce, with the same heap, the same reducer rule
-    # and the same step cap.  A step cancels the leading term c*x by
-    # work := a*work - b*shift*g, where g has leading term c_g*lead and
-    # a = c_g/d, b = c/d with d = gcd(c_g, c).  Terms already moved to the
-    # remainder are scaled by a too, and the content of the whole is divided
-    # out after each step that scaled, so the integers stay small.
+def _reducers(basis: Sequence[Polynomial], key) -> list[tuple]:
+    """(lead key, index, row) per element: the division rule's order."""
+    return sorted((key(row[0]), i, row) for i, row in enumerate(_row(g._terms, key) for g in basis))
+
+
+def _reduce_row(work: dict[Exponents, int], reducers: list[tuple], key) -> tuple[dict[Exponents, int], Fraction]:
+    # The one division loop; it consumes work.  A heap of the working dict's
+    # monomials yields the leading term, and cancelled monomials are skipped
+    # when popped.  The first reducer, in the division rule's order, whose
+    # leading monomial divides the term is used.  A step cancels the leading
+    # term c*x by work := a*work - b*shift*g, where g has leading term
+    # c_g*lead and a = c_g/d, b = c/d with d = gcd(c_g, c).  Terms already
+    # moved to the remainder are scaled by a too, and the content of the
+    # whole is divided out after each step that scaled, so the integers stay
+    # small.  Returns the remainder and the factor that the loop scaled
+    # everything by: the product of the a's over the contents divided out.
+    factor = Fraction(1)
     heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder: dict[Exponents, int] = {}
@@ -304,35 +277,32 @@ def _reduce_row(work: dict[Exponents, int], reducers: list[tuple], key) -> dict[
                 else:
                     work[m] = old - c
         if a != 1:
+            factor *= a
             content = gcd(*work.values(), *remainder.values())
             if content > 1:
+                factor /= content
                 for part in (work, remainder):
                     for m in part:
                         part[m] //= content
-    return remainder
+    return remainder, factor
 
 
 def _reduce_basis(ctx: RingContext, rows: list[_Row]) -> tuple[Polynomial, ...]:
-    # the rows become monic rationals here, once
-    basis = [
-        Polynomial._make(ctx, {m: Fraction(c, lead) for m, c in terms.items()}) for _, lead, terms in rows
-    ]
-    # minimal: drop any element whose leading monomial another one divides;
+    # minimal: drop any row whose leading monomial another one divides;
     # ascending scan keeps the divisor and drops the multiple
     key = ctx.descending_key()
-    ordered = sorted(basis, key=lambda g: key(g.leading_monomial()), reverse=True)
-    minimal: list[Polynomial] = []
-    for g in ordered:
-        lm = g.leading_monomial()
-        if not any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
-    # reduced: every element fully reduced against the others, then monic;
-    # reduction keeps each leading term, so reversing gives descending order
+    minimal: list[_Row] = []
+    for row in sorted(rows, key=lambda r: key(r[0]), reverse=True):
+        if not any(monomial_divides(other[0], row[0]) for other in minimal):
+            minimal.append(row)
+    # reduced: every row fully reduced against the others, then made monic
+    # once; reduction keeps each leading term, so reversing gives descending order
+    reducers = sorted((key(row[0]), i, row) for i, row in enumerate(minimal))
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        h = normal_form(g, others) if others else g
-        reduced.append(h.monic())
+    for row in minimal:
+        terms, _ = _reduce_row(dict(row[2]), [r for r in reducers if r[2] is not row], key)
+        lead = terms[row[0]]
+        reduced.append(Polynomial._make(ctx, {m: Fraction(c, lead) for m, c in terms.items()}))
     return tuple(reversed(reduced))
 
 

@@ -238,6 +238,15 @@ def parse_ring_file(text: str) -> RingFile:
     if fields[0] != "vars" or len(fields) < 2:
         raise ParseError(f"line {lineno}: expected 'vars <name>...'")
     variables = tuple(fields[1:])
+
+    def check(lineno: int, **preamble) -> None:
+        # a bad value is reported on the line that holds it
+        try:
+            RingContext(variables, **preamble)
+        except RingError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+
+    check(lineno)
     preamble = {}  # RingContext keywords: weights, order
     lineno, _, (keyword, *values) = take("'ideal' block")
     while keyword != "ideal":
@@ -254,13 +263,11 @@ def parse_ring_file(text: str) -> RingFile:
             raise ParseError(f"line {lineno}: expected 'order <tag>'")
         else:
             preamble[keyword] = values[0]
+        check(lineno, **{keyword: preamble[keyword]})
         lineno, _, (keyword, *values) = take("'ideal' block")
     if values:
         raise ParseError(f"line {lineno}: 'ideal' takes no arguments")
-    try:
-        context = RingContext(variables, **preamble)
-    except RingError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+    context = RingContext(variables, **preamble)
     generators = []
     lineno, raw, fields = take("'end'")
     while fields != ["end"]:

@@ -271,6 +271,12 @@ def test_ring_file_render_round_trip():
         ("ring r\nvars x\nideal\n  x\nend\nx\n", "content after 'end'"),
         ("ring r\nvars x\nideal\n  0\nend\n", "generator is zero"),
         ("ring r\nvars ½x\nideal\nend\n", "bad variable name"),
+        # a bad context value is reported on the line that holds it
+        ("ring r\nvars x x\nideal\n  x\nend\n", "^line 2: duplicate variable name$"),
+        ("ring r\n\nvars x ½x\nideal\nend\n", "^line 3: bad variable name '½x'$"),
+        ("ring r\nvars x y\nweights 0 1\norder lex\nideal\n  x\nend\n", "^line 3: weights must be positive"),
+        ("ring r\nvars x y\norder lex\nweights 1 2 3\nideal\n  x\nend\n", "^line 4: weights do not match"),
+        ("ring r\nvars x\nweights 2\norder deglex\nideal\n  x\nend\n", "^line 4: unknown monomial order"),
     ],
 )
 def test_ring_file_errors(text, message):
